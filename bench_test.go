@@ -6,6 +6,7 @@ package pbspgemm
 // the full-scale sweeps with the same code paths.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,13 +17,15 @@ import (
 	"pbspgemm/internal/stream"
 )
 
-// benchMultiply runs one algorithm on fixed inputs, reporting GFLOPS.
-func benchMultiply(b *testing.B, a, m *CSR, opt Options) {
+// benchMultiply runs one configuration on fixed inputs through one Engine
+// (so steady-state iterations reuse its pooled workspace), reporting GFLOPS.
+func benchMultiply(b *testing.B, a, m *CSR, opts ...Option) {
 	b.Helper()
+	eng := mustEngine(b)
 	var flops int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Multiply(a, m, opt)
+		res, err := eng.Multiply(context.Background(), a, m, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +112,7 @@ func BenchmarkFig7ER(b *testing.B) {
 		m := gen.ERMatrix(13, ef, 2)
 		for _, alg := range Algorithms() {
 			b.Run(fmt.Sprintf("ef%d/%s", ef, alg), func(b *testing.B) {
-				benchMultiply(b, a, m, Options{Algorithm: alg})
+				benchMultiply(b, a, m, WithAlgorithm(alg))
 			})
 		}
 	}
@@ -136,7 +139,7 @@ func BenchmarkFig7bBandwidth(b *testing.B) {
 func BenchmarkFig8Power9Model(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1)
 	m := gen.ERMatrix(13, 8, 2)
-	res, err := Multiply(a, m, Options{})
+	res, err := mustEngine(b).Multiply(context.Background(), a, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func BenchmarkFig8Power9Model(b *testing.B) {
 			b.Fatal("model failure")
 		}
 	}
-	benchMultiply(b, a, m, Options{})
+	benchMultiply(b, a, m)
 }
 
 // --- Fig. 9: RMAT performance and bandwidth ----------------------------------
@@ -157,7 +160,7 @@ func BenchmarkFig9RMAT(b *testing.B) {
 		m := gen.RMAT(12, ef, gen.Graph500Params, 2)
 		for _, alg := range Algorithms() {
 			b.Run(fmt.Sprintf("ef%d/%s", ef, alg), func(b *testing.B) {
-				benchMultiply(b, a, m, Options{Algorithm: alg})
+				benchMultiply(b, a, m, WithAlgorithm(alg))
 			})
 		}
 	}
@@ -183,7 +186,7 @@ func BenchmarkFig9bBandwidth(b *testing.B) {
 func BenchmarkFig10Power9Model(b *testing.B) {
 	a := gen.RMAT(12, 8, gen.Graph500Params, 1)
 	m := gen.RMAT(12, 8, gen.Graph500Params, 2)
-	benchMultiply(b, a, m, Options{})
+	benchMultiply(b, a, m)
 }
 
 // --- Fig. 11: squaring real-matrix surrogates, ascending cf ------------------
@@ -199,7 +202,7 @@ func BenchmarkFig11Real(b *testing.B) {
 		m := s.Generate(32, 42)
 		for _, alg := range []Algorithm{PB, Hash} {
 			b.Run(fmt.Sprintf("%s/%s", name, alg), func(b *testing.B) {
-				benchMultiply(b, m, m, Options{Algorithm: alg})
+				benchMultiply(b, m, m, WithAlgorithm(alg))
 			})
 		}
 	}
@@ -228,7 +231,7 @@ func BenchmarkFig12Scaling(b *testing.B) {
 	}{{"ER", er}, {"RMAT", rmat}} {
 		for _, threads := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/t%d", in.name, threads), func(b *testing.B) {
-				benchMultiply(b, in.m, in.m, Options{Threads: threads})
+				benchMultiply(b, in.m, in.m, WithThreads(threads))
 			})
 		}
 	}
@@ -258,7 +261,7 @@ func BenchmarkFig13Phases(b *testing.B) {
 func BenchmarkFig14DualSocketModel(b *testing.B) {
 	a := gen.ERMatrix(13, 16, 1)
 	m := gen.ERMatrix(13, 16, 2)
-	res, err := Multiply(a, m, Options{})
+	res, err := mustEngine(b).Multiply(context.Background(), a, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -333,12 +336,12 @@ func BenchmarkAblationNoLocalBins(b *testing.B) {
 // BenchmarkAblationPartitioned measures the Section V-D partitioned variant:
 // the extra (parts-1)·nnz(B) reads it trades for NUMA locality.
 func BenchmarkAblationPartitioned(b *testing.B) {
-	a := gen.ERMatrix(13, 8, 1)
+	a := gen.ERMatrix(13, 8, 1).ToCSC()
 	m := gen.ERMatrix(13, 8, 2)
 	for _, parts := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("parts%d", parts), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := MultiplyPartitioned(a, m, parts, Options{}); err != nil {
+				if _, _, err := core.MultiplyPartitioned(a, m, parts, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -351,7 +354,7 @@ func BenchmarkAblationPartitioned(b *testing.B) {
 func BenchmarkAblationSPA(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1)
 	m := gen.ERMatrix(13, 8, 2)
-	benchMultiply(b, a, m, Options{Algorithm: SPA})
+	benchMultiply(b, a, m, WithAlgorithm(SPA))
 }
 
 // --- Execution engine: workspace reuse and memory budget ----------------------
@@ -398,25 +401,30 @@ func BenchmarkWorkspaceSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkspacePublicAPI contrasts the public Multiply with and without
-// a shared workspace (the no-workspace rows pay the tuple buffer, plan
-// arrays and A's CSC conversion every call).
+// BenchmarkWorkspacePublicAPI contrasts the public Engine.Multiply on a
+// fresh Engine per call (which pays the tuple buffer, plan arrays and A's
+// CSC conversion every call) with one shared Engine whose pooled workspace
+// stays warm.
 func BenchmarkWorkspacePublicAPI(b *testing.B) {
 	a := gen.ERMatrix(13, 8, 1)
 	m := gen.ERMatrix(13, 8, 2)
+	ctx := context.Background()
 	for _, tc := range []struct {
-		name string
-		ws   *Workspace
-	}{{"fresh-buffers", nil}, {"workspace", NewWorkspace()}} {
+		name   string
+		shared bool
+	}{{"fresh-buffers", false}, {"workspace", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			opt := Options{Workspace: tc.ws}
-			if _, err := Multiply(a, m, opt); err != nil {
+			eng := mustEngine(b)
+			if _, err := eng.Multiply(ctx, a, m); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Multiply(a, m, opt); err != nil {
+				if !tc.shared {
+					eng = mustEngine(b)
+				}
+				if _, err := eng.Multiply(ctx, a, m); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"pbspgemm"
+	"pbspgemm/internal/core"
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/metrics"
@@ -34,7 +35,7 @@ func runTallSkinny(cfg *config) {
 		var cf float64
 		var gflops []float64
 		for _, alg := range kernelAlgos() {
-			res := bestRun(cfg, a, f, pbspgemm.Options{Algorithm: alg})
+			res := bestRun(cfg, a, f, pbspgemm.WithAlgorithm(alg))
 			if alg == pbspgemm.PB {
 				cf = res.CF
 			}
@@ -87,30 +88,30 @@ func runAblations(cfg *config) {
 	fmt.Printf("workload: ER scale %d, ef 8\n\n", scale)
 
 	tb := metrics.NewTable("Ablations (best of reps)", "variant", "time (ms)", "GFLOPS", "expand GB/s", "sort|fuse GB/s")
-	addPB := func(name string, opt pbspgemm.Options) {
-		res := bestRun(cfg, a, b, opt)
-		st := res.PB
+	// The PB variants are engine internals (the unfused pipeline, the
+	// partitioned driver), so they run on internal/core directly.
+	acsc := a.ToCSC()
+	addPB := func(name string, st *core.Stats) {
 		sortGBs := st.SortGBs()
 		if st.Fused {
 			sortGBs = st.FuseGBs()
 		}
-		tb.AddRow(name, ms(res.Elapsed), res.GFLOPS(), st.ExpandGBs(), sortGBs)
+		tb.AddRow(name, ms(st.Total), st.GFLOPS(), st.ExpandGBs(), sortGBs)
 	}
-	addPB("PB (fused default)", pbspgemm.Options{})
-	addPB("PB (unfused three-pass)", pbspgemm.Options{DisableFusion: true})
-	addPB("no blocking (nbins=1)", pbspgemm.Options{NBins: 1})
-	addPB("no local bins (1-tuple)", pbspgemm.Options{LocalBinBytes: 16})
-	addPB("tiny cache budget (64 KiB)", pbspgemm.Options{L2CacheBytes: 64 << 10})
+	addPB("PB (fused default)", pbBest(cfg, acsc, b, core.Options{}))
+	addPB("PB (unfused three-pass)", pbBest(cfg, acsc, b, core.Options{DisableFusion: true}))
+	addPB("no blocking (nbins=1)", pbBest(cfg, acsc, b, core.Options{NBins: 1}))
+	addPB("no local bins (1-tuple)", pbBest(cfg, acsc, b, core.Options{LocalBinBytes: 16}))
+	addPB("tiny cache budget (64 KiB)", pbBest(cfg, acsc, b, core.Options{L2CacheBytes: 64 << 10}))
 
-	partRes, err := pbspgemm.MultiplyPartitioned(a, b, 2, pbspgemm.Options{})
+	_, partSt, err := core.MultiplyPartitioned(acsc, b, 2, core.Options{Threads: cfg.threads})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	tb.AddRow("partitioned (2 bands)", ms(partRes.Elapsed), partRes.GFLOPS(),
-		partRes.PB.ExpandGBs(), partRes.PB.FuseGBs())
+	addPB("partitioned (2 bands)", partSt)
 
-	escRes := bestRun(cfg, a, b, pbspgemm.Options{Algorithm: pbspgemm.ColumnESC})
+	escRes := bestRun(cfg, a, b, pbspgemm.WithAlgorithm(pbspgemm.ColumnESC))
 	tb.AddRow("column ESC (no outer product)", ms(escRes.Elapsed), escRes.GFLOPS(), "-", "-")
 	tb.Render(os.Stdout)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"pbspgemm"
+	"pbspgemm/internal/core"
 	"pbspgemm/internal/gen"
 	"pbspgemm/internal/metrics"
 )
@@ -57,29 +58,23 @@ func perfSweep(cfg *config, kind matrixKind, profile machineProfile) {
 		for _, ef := range efs {
 			a := kind.generate(scale, ef, cfg.seed)
 			b := kind.generate(scale, ef, cfg.seed+1)
-			row := []any{scale, ef}
-			var pbRes *pbspgemm.Result
-			var gflops []float64
+			// The paper's figures measure the three-phase pipeline;
+			// DisableFusion keeps the per-phase sort/compress bandwidth
+			// rows meaningful (the fused default reports one Fuse phase).
+			st := pbBest(cfg, a.ToCSC(), b, core.Options{DisableFusion: true})
+			row := []any{scale, ef, st.CF}
 			for _, alg := range kernelAlgos() {
-				// The paper's figures measure the three-phase pipeline;
-				// DisableFusion keeps the per-phase sort/compress bandwidth
-				// rows meaningful (the fused default reports one Fuse phase).
-				res := bestRun(cfg, a, b, pbspgemm.Options{Algorithm: alg, DisableFusion: true})
-				gflops = append(gflops, res.GFLOPS())
 				if alg == pbspgemm.PB {
-					pbRes = res
+					row = append(row, st.GFLOPS())
+					continue
 				}
+				row = append(row, bestRun(cfg, a, b, pbspgemm.WithAlgorithm(alg)).GFLOPS())
 			}
-			row = append(row, pbRes.CF)
-			for _, g := range gflops {
-				row = append(row, g)
-			}
-			hostModel := pbspgemm.PredictGFLOPS(beta, a.NNZ(), b.NNZ(), pbRes.Flops, pbRes.C.NNZ())
-			paperModel := pbspgemm.PredictGFLOPS(profile.betaGBs, a.NNZ(), b.NNZ(), pbRes.Flops, pbRes.C.NNZ())
+			hostModel := pbspgemm.PredictGFLOPS(beta, a.NNZ(), b.NNZ(), st.Flops, st.NNZC)
+			paperModel := pbspgemm.PredictGFLOPS(profile.betaGBs, a.NNZ(), b.NNZ(), st.Flops, st.NNZC)
 			row = append(row, hostModel, paperModel)
 			perf.AddRow(row...)
 
-			st := pbRes.PB
 			bw.AddRow(scale, ef, st.ExpandGBs(), st.SortGBs(), st.CompressGBs(), st.OverallGBs())
 		}
 	}
@@ -134,7 +129,7 @@ func runFig11(cfg *config) {
 		m := loadOrGenerate(cfg, s, scaleDiv)
 		e := entry{name: s.Name}
 		for i, alg := range kernelAlgos() {
-			res := bestRun(cfg, m, m, pbspgemm.Options{Algorithm: alg})
+			res := bestRun(cfg, m, m, pbspgemm.WithAlgorithm(alg))
 			e.g[i] = res.GFLOPS()
 			if alg == pbspgemm.PB {
 				e.cf = res.CF

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -27,13 +28,18 @@ func betaGBs(cfg *config) float64 {
 	return measuredBeta
 }
 
-// bestRun multiplies a*b with alg cfg.reps times and returns the fastest
-// result (standard discipline for bandwidth-bound kernels).
-func bestRun(cfg *config, a, b *pbspgemm.CSR, opt pbspgemm.Options) *pbspgemm.Result {
-	opt.Threads = pickThreads(cfg, opt.Threads)
+// bestRun multiplies a*b cfg.reps times on one Engine (cfg.threads by
+// default; opts override) and returns the fastest result (standard
+// discipline for bandwidth-bound kernels).
+func bestRun(cfg *config, a, b *pbspgemm.CSR, opts ...pbspgemm.Option) *pbspgemm.Result {
+	eng, err := pbspgemm.NewEngine(pbspgemm.WithThreads(cfg.threads))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "engine: %v\n", err)
+		os.Exit(1)
+	}
 	var best *pbspgemm.Result
 	for r := 0; r < cfg.reps; r++ {
-		res, err := pbspgemm.Multiply(a, b, opt)
+		res, err := eng.Multiply(context.Background(), a, b, opts...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "multiply failed: %v\n", err)
 			os.Exit(1)

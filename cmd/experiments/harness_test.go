@@ -3,7 +3,6 @@ package main
 import (
 	"testing"
 
-	"pbspgemm"
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/gen"
 )
@@ -41,7 +40,7 @@ func TestMatrixKindGenerate(t *testing.T) {
 func TestBestRunReturnsValidResult(t *testing.T) {
 	cfg := &config{reps: 2}
 	a := gen.ERMatrix(7, 4, 1)
-	res := bestRun(cfg, a, a, pbspgemm.Options{})
+	res := bestRun(cfg, a, a)
 	if res == nil || res.C == nil || res.Flops <= 0 {
 		t.Fatal("bestRun returned invalid result")
 	}

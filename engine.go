@@ -30,9 +30,6 @@ import (
 // checks a workspace out of the pool and returns results that are fully
 // owned by the caller (never aliased to pooled memory). NewEngine's options
 // become per-engine defaults that individual calls can override.
-//
-// Engine replaces the growing Options struct of the original API; Multiply
-// with Options remains as a deprecated shim.
 type Engine struct {
 	defaults []Option
 	pool     sync.Pool // *kernel.Workspace

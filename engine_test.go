@@ -141,11 +141,6 @@ func TestEngineContextCancellation(t *testing.T) {
 	if m := eng.Metrics(); m.Failures != 8 {
 		t.Fatalf("failures = %d, want 8", m.Failures)
 	}
-
-	// The legacy shim stays cancellation-free and still succeeds.
-	if _, err := Multiply(a, b, Options{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWithSemiringPlanReporting: the public option surfaces the typed
@@ -460,17 +455,39 @@ func TestOptionValidation(t *testing.T) {
 			t.Fatalf("NewEngine accepted invalid default %s", name)
 		}
 	}
-	// The legacy struct path rejects the same values with the same type.
-	for _, bad := range []Options{
-		{Threads: -1}, {NBins: -1}, {LocalBinBytes: -1},
-		{L2CacheBytes: -1}, {MemoryBudgetBytes: -1},
+	// A negative value is rejected by every entry point, with an error
+	// that names the option and the value.
+	ctx := context.Background()
+	ga, gb := Float64Matrix(a).ToCSC(), Float64Matrix(a)
+	for name, opt := range map[string]Option{
+		"WithThreads":       WithThreads(-1),
+		"WithNBins":         WithNBins(-1),
+		"WithLocalBinBytes": WithLocalBinBytes(-1),
+		"WithL2CacheBytes":  WithL2CacheBytes(-1),
+		"WithMemoryBudget":  WithMemoryBudget(-1),
+		"WithBeta":          WithBeta(-1),
 	} {
-		var oe *OptionError
-		if _, err := Multiply(a, a, bad); !errors.As(err, &oe) {
-			t.Fatalf("Options%+v: got %v, want *OptionError", bad, err)
-		}
-		if _, err := MultiplyPartitioned(a, a, 2, bad); !errors.As(err, &oe) {
-			t.Fatalf("MultiplyPartitioned Options%+v: got %v, want *OptionError", bad, err)
+		for entry, call := range map[string]func() error{
+			"Engine.Multiply": func() error { _, err := eng.Multiply(ctx, a, a, opt); return err },
+			"Engine.MultiplyMasked": func() error {
+				_, err := eng.MultiplyMasked(ctx, a, a, a, opt)
+				return err
+			},
+			"Engine.Plan": func() error { _, err := eng.Plan(ctx, a, a, opt); return err },
+			"MultiplyOver": func() error {
+				_, err := MultiplyOver(Arithmetic(), ga, gb, opt)
+				return err
+			},
+			"EngineMultiplyOver": func() error {
+				_, err := EngineMultiplyOver(eng, ctx, Arithmetic(), ga, gb, opt)
+				return err
+			},
+			"MultiplyMasked": func() error { _, err := MultiplyMasked(a, a, a, opt); return err },
+		} {
+			var oe *OptionError
+			if err := call(); !errors.As(err, &oe) || oe.Option != name || oe.Value != -1 {
+				t.Fatalf("%s(%s(-1)): got %v, want *OptionError{%s, -1}", entry, name, err, name)
+			}
 		}
 	}
 	// Zero values stay valid (auto defaults).

@@ -5,6 +5,7 @@ package pbspgemm
 // cut across packages.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -39,12 +40,9 @@ func TestIntegrationAllAlgorithmsAllWorkloads(t *testing.T) {
 	for name, pair := range workloads() {
 		a, b := pair[0], pair[1]
 		want := Reference(a, b)
-		for _, alg := range []Algorithm{PB, Heap, Hash, HashVec, SPA} {
+		for _, alg := range allAlgorithms {
 			t.Run(name+"/"+alg.String(), func(t *testing.T) {
-				res, err := Multiply(a, b, Options{Algorithm: alg})
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := multiply(t, a, b, WithAlgorithm(alg))
 				if err := res.C.Validate(); err != nil {
 					t.Fatalf("invalid CSR: %v", err)
 				}
@@ -63,14 +61,8 @@ func TestIntegrationSurrogatesSquareCorrectly(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			m := s.Generate(64, 1)
-			pb, err := Square(m, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hash, err := Square(m, Options{Algorithm: Hash})
-			if err != nil {
-				t.Fatal(err)
-			}
+			pb := multiply(t, m, m)
+			hash := multiply(t, m, m, WithAlgorithm(Hash))
 			if !EqualWithin(pb.C, hash.C, 1e-9) {
 				t.Fatal("PB and Hash disagree on surrogate")
 			}
@@ -88,22 +80,13 @@ func TestIntegrationDeterministic(t *testing.T) {
 	// orders, so values agree only up to floating-point associativity.
 	a := gen.ERMatrix(10, 8, 11)
 	b := gen.ERMatrix(10, 8, 12)
-	first, err := Multiply(a, b, Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Multiply(a, b, Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := multiply(t, a, b, WithThreads(1))
+	again := multiply(t, a, b, WithThreads(1))
 	if !EqualWithin(first.C, again.C, 0) {
 		t.Fatal("single-threaded runs not bitwise identical")
 	}
 	for _, threads := range []int{2, 4, 8} {
-		res, err := Multiply(a, b, Options{Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := multiply(t, a, b, WithThreads(threads))
 		if !EqualWithin(first.C, res.C, 1e-12) {
 			t.Fatalf("threads=%d: result differs beyond rounding", threads)
 		}
@@ -125,13 +108,14 @@ func TestIntegrationConcurrentMultiplies(t *testing.T) {
 	a := gen.ERMatrix(9, 8, 21)
 	b := gen.ERMatrix(9, 8, 22)
 	want := Reference(a, b)
+	eng := mustEngine(t, WithThreads(2))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(alg Algorithm) {
 			defer wg.Done()
-			res, err := Multiply(a, b, Options{Algorithm: alg, Threads: 2})
+			res, err := eng.Multiply(context.Background(), a, b, WithAlgorithm(alg))
 			if err != nil {
 				errs <- err
 				return
@@ -152,18 +136,9 @@ func TestIntegrationChainOfMultiplies(t *testing.T) {
 	// (A·A)·A == A·(A·A): associativity across the library path — catches
 	// canonical-form violations that single multiplications miss.
 	a := gen.ERMatrix(8, 6, 31)
-	aa, err := Square(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	left, err := Multiply(aa.C, a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := Multiply(a, aa.C, Options{Algorithm: Hash})
-	if err != nil {
-		t.Fatal(err)
-	}
+	aa := multiply(t, a, a)
+	left := multiply(t, aa.C, a)
+	right := multiply(t, a, aa.C, WithAlgorithm(Hash))
 	// Compare both against the reference for tolerance robustness.
 	wantL := Reference(aa.C, a)
 	wantR := Reference(a, aa.C)
@@ -188,11 +163,8 @@ func TestIntegrationHypersparse(t *testing.T) {
 	}
 	a := coo.ToCSR()
 	want := Reference(a, a)
-	for _, alg := range []Algorithm{PB, Heap, Hash, HashVec, SPA} {
-		res, err := Square(a, Options{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
+	for _, alg := range allAlgorithms {
+		res := multiply(t, a, a, WithAlgorithm(alg))
 		if !EqualWithin(want, res.C, 1e-9) {
 			t.Fatalf("%v: hypersparse result differs", alg)
 		}
@@ -213,10 +185,7 @@ func TestIntegrationDenseSmall(t *testing.T) {
 	}
 	a := coo.ToCSR()
 	want := Reference(a, a)
-	res, err := Square(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := multiply(t, a, a)
 	if !EqualWithin(want, res.C, 1e-9) {
 		t.Fatal("dense square differs")
 	}
@@ -228,20 +197,17 @@ func TestIntegrationDenseSmall(t *testing.T) {
 func TestIntegrationExtremeBinOptions(t *testing.T) {
 	a := gen.ERMatrix(9, 8, 41)
 	want := Reference(a, a)
-	for _, opt := range []Options{
-		{NBins: 1},               // single bin: ESC without blocking
-		{NBins: 1 << 20},         // more bins than rows: clamped
-		{LocalBinBytes: 16},      // one-tuple local bins
-		{LocalBinBytes: 1 << 20}, // local bins larger than global bins
-		{L2CacheBytes: 1024},     // tiny cache budget => many bins
-		{L2CacheBytes: 1 << 30},  // huge budget => single bin
+	for name, opt := range map[string]Option{
+		"NBins=1":             WithNBins(1),               // single bin: ESC without blocking
+		"NBins=1<<20":         WithNBins(1 << 20),         // more bins than rows: clamped
+		"LocalBinBytes=16":    WithLocalBinBytes(16),      // one-tuple local bins
+		"LocalBinBytes=1<<20": WithLocalBinBytes(1 << 20), // local bins larger than global bins
+		"L2CacheBytes=1024":   WithL2CacheBytes(1024),     // tiny cache budget => many bins
+		"L2CacheBytes=1<<30":  WithL2CacheBytes(1 << 30),  // huge budget => single bin
 	} {
-		res, err := Square(a, opt)
-		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
-		}
+		res := multiply(t, a, a, opt)
 		if !EqualWithin(want, res.C, 1e-9) {
-			t.Fatalf("%+v: result differs", opt)
+			t.Fatalf("%s: result differs", name)
 		}
 	}
 }

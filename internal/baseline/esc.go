@@ -39,6 +39,7 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 	if !shared {
 		ws = NewWorkspace()
 	}
+	ws.growThreads(threads)
 	st := ws.statsFor(shared)
 	start := time.Now()
 
@@ -68,10 +69,10 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 	bounds := par.BalancedBoundariesInto(rowFlops, threads, matrix.GrowInt(&ws.bounds, threads+1))
 	rowOut := matrix.GrowInt64(&ws.rowOut, rows)
 	if threads == 1 {
-		escRange(a, b, tuples, segStart, rowOut, 0, rows)
+		escRange(a, b, tuples, &ws.threads[0].escAux, segStart, rowOut, 0, rows)
 	} else {
 		par.ParallelRun(threads, func(t int) {
-			escRange(a, b, tuples, segStart, rowOut, bounds[t], bounds[t+1])
+			escRange(a, b, tuples, &ws.threads[t].escAux, segStart, rowOut, bounds[t], bounds[t+1])
 		})
 	}
 	if err := poll(opt.Cancel); err != nil {
@@ -102,8 +103,9 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 }
 
 // escRange expands, sorts and compresses the segments of rows [lo, hi),
-// writing per-row output counts into rowOut.
-func escRange(a, b *matrix.CSR, tuples []radix.Pair, segStart, rowOut []int64, lo, hi int) {
+// writing per-row output counts into rowOut. aux is the calling thread's
+// pooled sort scratch, grown to the longest segment it meets.
+func escRange(a, b *matrix.CSR, tuples []radix.Pair, aux *[]radix.Pair, segStart, rowOut []int64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		seg := tuples[segStart[i]:segStart[i+1]]
 		pos := 0
@@ -115,7 +117,7 @@ func escRange(a, b *matrix.CSR, tuples []radix.Pair, segStart, rowOut []int64, l
 				pos++
 			}
 		}
-		radix.SortPairsInPlace(seg)
+		radix.SortPairsStable(seg, radix.GrowPairs(aux, int64(len(seg))), true)
 		// Two-pointer compress within the row segment.
 		if len(seg) == 0 {
 			rowOut[i] = 0

@@ -50,7 +50,7 @@ func (ws *Workspace) Reset() { *ws = Workspace{} }
 // accumulator family: the versioned marker doubles as the symbolic-phase
 // counter and SPA's occupancy stamp (SPA re-initializes it before the
 // numeric pass), dense+touched serve SPA, hashCols/hashVals the hash
-// variants, and heap the k-way heap merge.
+// variants, heap the k-way heap merge, and escAux ColumnESC's sort scratch.
 type scratch struct {
 	marker   []int32
 	touched  []int32
@@ -58,6 +58,7 @@ type scratch struct {
 	hashCols []int32
 	hashVals []float64
 	heap     []heapEntry
+	escAux   []radix.Pair
 }
 
 // growThreads makes ws.threads at least n entries long, preserving pooled

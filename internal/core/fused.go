@@ -16,9 +16,9 @@ import (
 // dominant data structure from DRAM:
 //
 //   - The sort's last digit pass folds equal keys as buckets complete
-//     (radix.SortKeys32Fused / radix.SortPairsFused): the two-pointer
-//     compress — a full cold re-read of the sorted tuple buffer plus an
-//     nnz-sized write — disappears into the sort epilogue, where the leaf
+//     (radix.SortKeys32FusedScratch / radix.SortPairsFusedScratch): the
+//     two-pointer compress — a full cold re-read of the sorted tuple buffer
+//     plus an nnz-sized write — disappears into the sort epilogue, where the leaf
 //     being folded is still cache-resident. The fused phase also tallies
 //     per-row output counts in the same breath, so assemble has exact
 //     per-bin offsets the moment sorting ends (sort-and-count), and a
@@ -163,8 +163,9 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	// Oversized skewed bin: run the sort's own first partition pass here and
 	// spawn the buckets; idle workers steal them, so neither the partition
 	// nor the bucket sorts serialize the phase. The layout provides the pass
-	// (PartitionTop32 / PartitionTop32Pattern / PartitionPairsTopByte); zero
-	// buckets means the pass alone finished the range.
+	// (radix.PartitionTop32Scratch / PartitionTop32PatternScratch /
+	// PartitionPairsScratch); zero buckets means the pass alone finished the
+	// range.
 	lo, hi := t.start, t.end
 	stride := radix.MaxPartitionBuckets + 1
 	bounds := partBounds[worker*stride : (worker+1)*stride]

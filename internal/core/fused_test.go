@@ -10,28 +10,51 @@ import (
 
 // TestFusedMatchesUnfusedBitIdentical is the fused pipeline's equivalence
 // matrix: on ER and R-MAT inputs, budgeted and unbudgeted, at
-// Threads ∈ {1, 2, 8} and in both tuple layouts, the fused (default) output
-// must be bit-identical — structure and float64 values — to the unfused
-// PR 4 path. The fused sorts run the unfused digit plan pass for pass and
-// fold in compress order, so this holds with no tolerance at all.
+// Threads ∈ {1, 2, 8} and in the squeezed, wide and narrow float32
+// layouts, the fused (default) output must be bit-identical — structure
+// and values — to the unfused three-pass path. The fused sorts run the unfused digit plan pass for pass
+// and fold in compress order, so this holds with no tolerance at all.
+//
+// The NegZero input makes every product −0.0 (A = −1, B = 0) in one bin:
+// the unfused compress folds each run from its first value and keeps the
+// sign, so the fused last-digit accumulators must start from −0.0 too.
 func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 	inputs := []struct {
-		name string
-		a, b *matrix.CSR
+		name   string
+		a, b   *matrix.CSR
+		nbins  int
+		budget int64 // the budgeted runs' tiling budget
 	}{
-		{"ER", gen.ER(1024, 8, 31), gen.ER(1024, 8, 32)},
-		{"RMAT", gen.RMAT(10, 8, gen.Graph500Params, 33), gen.RMAT(10, 8, gen.Graph500Params, 34)},
+		{"ER", gen.ER(1024, 8, 31), gen.ER(1024, 8, 32), 0, 64 << 10},
+		{"RMAT", gen.RMAT(10, 8, gen.Graph500Params, 33), gen.RMAT(10, 8, gen.Graph500Params, 34), 0, 64 << 10},
+		{"NegZero", withValues(gen.ER(1024, 32, 37), -1), withValues(gen.ER(1024, 32, 38), 0), 1, 1 << 20},
 	}
 	for _, in := range inputs {
 		acsc := in.a.ToCSC()
-		for _, layout := range []Layout{LayoutSqueezed, LayoutWide} {
-			for _, budget := range []int64{0, 64 << 10} {
+		av, bv := narrowPlanes[float32](acsc, in.b)
+		for _, layout := range []Layout{LayoutSqueezed, LayoutWide, LayoutNarrow} {
+			// multiply runs one side; narrow values are widened exactly
+			// (float32 → float64 keeps every bit pattern, −0.0 included).
+			multiply := func(opt Options) (*matrix.CSR, *Stats, error) {
+				if layout != LayoutNarrow {
+					return Multiply(acsc, in.b, opt)
+				}
+				c, vals, st, err := MultiplyNarrow(acsc, av, in.b, bv, opt)
+				if err == nil {
+					c.Val = make([]float64, len(vals))
+					for i, v := range vals {
+						c.Val[i] = float64(v)
+					}
+				}
+				return c, st, err
+			}
+			for _, budget := range []int64{0, in.budget} {
 				for _, threads := range []int{1, 2, 8} {
 					name := fmt.Sprintf("%s/%v/budget=%d/threads=%d", in.name, layout, budget, threads)
 					t.Run(name, func(t *testing.T) {
-						opt := Options{Threads: threads, ForceLayout: layout, MemoryBudgetBytes: budget}
+						opt := Options{Threads: threads, ForceLayout: layout, MemoryBudgetBytes: budget, NBins: in.nbins}
 						opt.DisableFusion = true
-						want, stU, err := Multiply(acsc, in.b, opt)
+						want, stU, err := multiply(opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -39,7 +62,7 @@ func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 							t.Fatal("DisableFusion run reported Fused")
 						}
 						opt.DisableFusion = false
-						got, stF, err := Multiply(acsc, in.b, opt)
+						got, stF, err := multiply(opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -57,6 +80,14 @@ func TestFusedMatchesUnfusedBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withValues returns m with every stored value set to v.
+func withValues(m *matrix.CSR, v float64) *matrix.CSR {
+	for i := range m.Val {
+		m.Val[i] = v
+	}
+	return m
 }
 
 // TestFusedSplitBinsBitIdentical forces the oversized-bin work-stealing

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pbspgemm/internal/gen"
@@ -26,7 +27,7 @@ func csrBitIdentical(a, b *matrix.CSR) bool {
 		}
 	}
 	for i := range a.Val {
-		if a.Val[i] != b.Val[i] {
+		if math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
 			return false
 		}
 	}
@@ -371,8 +372,10 @@ func BenchmarkMultiply(b *testing.B) {
 	}
 }
 
-// BenchmarkSortPhase isolates the sort phase's layout sensitivity: one
-// L2-sized bin of pre-expanded tuples per layout.
+// BenchmarkSortPhase isolates the fused sort/fold phase's layout
+// sensitivity: one L2-sized bin of pre-expanded tuples per layout, through
+// the batched ...FusedScratch kernels the engine runs, on preallocated
+// scratch.
 func BenchmarkSortPhase(b *testing.B) {
 	const n = 64 << 10
 	r := gen.NewRNG(3)
@@ -386,21 +389,21 @@ func BenchmarkSortPhase(b *testing.B) {
 		pairs[i] = radix.Pair{Key: uint64(k), Val: vals[i]}
 	}
 	b.Run("layout=squeezed", func(b *testing.B) {
-		wk := make([]uint32, n)
-		wv := make([]float64, n)
+		wk, auxK := make([]uint32, n), make([]uint32, n)
+		wv, auxV := make([]float64, n), make([]float64, n)
 		b.SetBytes(n * SqueezedTupleBytes)
 		for i := 0; i < b.N; i++ {
 			copy(wk, keys)
 			copy(wv, vals)
-			radix.SortKeys32(wk, wv)
+			radix.SortKeys32FusedScratch(wk, wv, auxK, auxV, true)
 		}
 	})
 	b.Run("layout=wide", func(b *testing.B) {
-		wp := make([]radix.Pair, n)
+		wp, aux := make([]radix.Pair, n), make([]radix.Pair, n)
 		b.SetBytes(n * WideTupleBytes)
 		for i := 0; i < b.N; i++ {
 			copy(wp, pairs)
-			radix.SortPairsInPlace(wp)
+			radix.SortPairsFusedScratch(wp, aux, true)
 		}
 	})
 }

@@ -15,10 +15,10 @@
 //     their global bin with a bulk copy when full, so global-memory writes
 //     always move full cache lines.
 //  3. Sort: each global bin is sorted independently (bins per thread,
-//     dynamic schedule) with an in-place American-flag radix sort on packed
-//     keys localRow<<colBits|colid. Because local row ids are small, high
-//     key bytes are zero and the sorter performs the few passes a squeezed
-//     4-byte key would need (Section III-D).
+//     dynamic schedule) with a stable MSD radix sort (internal/radix) on
+//     packed keys localRow<<colBits|colid. Because local row ids are small,
+//     high key bytes are zero and the sorter performs the few passes a
+//     squeezed 4-byte key would need (Section III-D).
 //  4. Compress: the paper's two-pointer in-place merge sums tuples with
 //     equal keys; a final parallel pass assembles canonical CSR (bins cover
 //     disjoint, ordered row ranges, so concatenating compressed bins is

@@ -148,33 +148,6 @@ func Banded(n int32, halfWidth int32, seed uint64) *matrix.CSR {
 	return coo.ToCSR()
 }
 
-// DegreeSequence generates an n-by-n matrix where column j receives
-// degrees[j%len(degrees)] uniformly random distinct rows. It lets surrogates
-// mimic an arbitrary degree profile.
-func DegreeSequence(n int32, degrees []int, seed uint64) *matrix.CSR {
-	r := newRNG(seed)
-	coo := &matrix.COO{NumRows: n, NumCols: n}
-	seen := make(map[int32]struct{})
-	for j := int32(0); j < n; j++ {
-		d := degrees[int(j)%len(degrees)]
-		if int32(d) > n {
-			d = int(n)
-		}
-		clear(seen)
-		for len(seen) < d {
-			i := r.intn(n)
-			if _, dup := seen[i]; dup {
-				continue
-			}
-			seen[i] = struct{}{}
-			coo.Row = append(coo.Row, i)
-			coo.Col = append(coo.Col, j)
-			coo.Val = append(coo.Val, r.float64v())
-		}
-	}
-	return coo.ToCSR()
-}
-
 // PowerLawDegrees returns n column degrees following a truncated discrete
 // power law with exponent alpha, average targetAvg and maximum maxDeg.
 // Used to mimic scale-free matrices such as web-Google and patents_main.

@@ -135,18 +135,6 @@ func TestPowerLawDegrees(t *testing.T) {
 	}
 }
 
-func TestDegreeSequence(t *testing.T) {
-	degs := []int{1, 2, 3}
-	m := DegreeSequence(90, degs, 11)
-	csc := m.ToCSC()
-	for j := int32(0); j < 90; j++ {
-		want := int64(degs[int(j)%3])
-		if got := csc.ColNNZ(j); got != want {
-			t.Fatalf("col %d nnz %d, want %d", j, got, want)
-		}
-	}
-}
-
 func TestSurrogateCatalogStats(t *testing.T) {
 	// At reduced scale every surrogate must produce a valid matrix whose
 	// degree lands near the published value and whose squaring cf is in the

@@ -31,8 +31,9 @@ func (m *COO) ToCSC() *CSC {
 }
 
 // Dedup returns a copy of m sorted row-major (row, then column) with
-// duplicate coordinates summed. It packs (row, col) into a 64-bit key and
-// radix-sorts, so deduplication is O(nnz) rather than comparison-sort bound.
+// duplicate coordinates summed in input order. It packs (row, col) into a
+// 64-bit key and stably radix-sorts, so deduplication is O(nnz) rather than
+// comparison-sort bound.
 func (m *COO) Dedup() *COO {
 	n := len(m.Val)
 	pairs := make([]radix.Pair, n)
@@ -42,7 +43,7 @@ func (m *COO) Dedup() *COO {
 			Val: m.Val[i],
 		}
 	}
-	radix.SortPairsInPlace(pairs)
+	radix.SortPairsStable(pairs, make([]radix.Pair, n), true)
 	out := &COO{NumRows: m.NumRows, NumCols: m.NumCols}
 	for i := 0; i < n; i++ {
 		k := len(out.Val)

@@ -64,18 +64,6 @@ func FlopsCSR(a, b *CSR) int64 {
 	return flops
 }
 
-// CompressionFactor returns cf = flop / nnz(C) for the product of a and b.
-// It computes nnz(C) exactly with a merge over a dense marker array, so it is
-// O(flop) — use for analysis and tests, not in hot paths.
-func CompressionFactor(a *CSC, b *CSR) float64 {
-	flops := Flops(a, b)
-	nnzC := ProductNNZ(a.ToCSR(), b)
-	if nnzC == 0 {
-		return 0
-	}
-	return float64(flops) / float64(nnzC)
-}
-
 // ProductNNZ returns nnz(A*B) exactly using a Gustavson symbolic pass with a
 // versioned dense marker (no allocation per row).
 func ProductNNZ(a, b *CSR) int64 {

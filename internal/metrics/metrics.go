@@ -106,21 +106,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
-// BestOf runs fn reps times and returns the minimum duration, the standard
-// benchmarking discipline for bandwidth-bound kernels (min filters scheduler
-// noise).
-func BestOf(reps int, fn func()) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Table renders aligned text tables for harness output, mirroring the rows
 // and series the paper's figures plot.
 type Table struct {

@@ -79,17 +79,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestBestOf(t *testing.T) {
-	calls := 0
-	d := BestOf(3, func() { calls++ })
-	if calls != 3 {
-		t.Fatalf("ran %d times, want 3", calls)
-	}
-	if d < 0 {
-		t.Fatal("negative duration")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "name", "gflops")
 	tb.AddRow("pb", 1.234)

@@ -84,13 +84,15 @@ func (g *guard) run(worker int, fn func()) {
 }
 
 func (g *guard) capture(worker int, v any) {
+	// Raise the stop flag before building the PanicError: capturing the
+	// stack takes long enough for siblings to claim thousands of indices.
+	g.aborted.Store(true)
 	pe := AsPanicError(v, worker, "")
 	g.mu.Lock()
 	if g.first == nil {
 		g.first = pe
 	}
 	g.mu.Unlock()
-	g.aborted.Store(true)
 }
 
 // stop reports whether a sibling has panicked; scheduling loops poll it so an

@@ -2,100 +2,11 @@ package radix
 
 // Pair is one expanded tuple: a packed (rowid, colid) key and the multiplied
 // value. Storing key and payload adjacently matches the paper's COO tuple
-// layout and halves the cache lines each sort swap touches compared to
+// layout and halves the cache lines each scatter touches compared to
 // parallel arrays.
 type Pair struct {
 	Key uint64
 	Val float64
-}
-
-// SortPairsInPlace sorts ps by Key ascending with the same in-place
-// American-flag byte radix as SortPairs, skipping all-zero high bytes
-// (the key-squeezing optimization).
-func SortPairsInPlace(ps []Pair) {
-	if len(ps) < 2 {
-		return
-	}
-	var or uint64
-	for i := range ps {
-		or |= ps[i].Key
-	}
-	if or == 0 {
-		return
-	}
-	sortPairsAtByte(ps, topByte(or))
-}
-
-// flagStatePairs is one byte pass's bucket bookkeeping.
-type flagStatePairs struct {
-	count, start, end [256]int
-	nonEmpty          int
-}
-
-// flagPassPairs runs one complete American-flag byte pass — counting,
-// prefix, and (unless the byte is uniform) the swap permute. It is THE
-// pass: both the recursive sorter and PartitionPairsTopByte go through it,
-// so a bin split across workers sorts into exactly the bytes a whole-bin
-// sort produces.
-func flagPassPairs(ps []Pair, byteIdx int, st *flagStatePairs) {
-	shift := uint(byteIdx * 8)
-	for i := range ps {
-		st.count[(ps[i].Key>>shift)&0xff]++
-	}
-	sum := 0
-	for b := 0; b < 256; b++ {
-		st.start[b] = sum
-		sum += st.count[b]
-		st.end[b] = sum
-		if st.count[b] > 0 {
-			st.nonEmpty++
-		}
-	}
-	if st.nonEmpty == 1 {
-		return
-	}
-	var cursor [256]int
-	copy(cursor[:], st.start[:])
-	for b := 0; b < 256; b++ {
-		for cursor[b] < st.end[b] {
-			p := ps[cursor[b]]
-			home := int((p.Key >> shift) & 0xff)
-			if home == b {
-				cursor[b]++
-				continue
-			}
-			j := cursor[home]
-			ps[cursor[b]], ps[j] = ps[j], p
-			cursor[home]++
-		}
-	}
-}
-
-func sortPairsAtByte(ps []Pair, byteIdx int) {
-	n := len(ps)
-	if n < 2 {
-		return
-	}
-	if n <= insertionCutoff {
-		insertionSortPairs(ps)
-		return
-	}
-	var st flagStatePairs
-	flagPassPairs(ps, byteIdx, &st)
-	if st.nonEmpty == 1 {
-		if byteIdx > 0 {
-			sortPairsAtByte(ps, byteIdx-1)
-		}
-		return
-	}
-	if byteIdx == 0 {
-		return
-	}
-	for b := 0; b < 256; b++ {
-		if st.count[b] > 1 {
-			sortPairsAtByte(ps[st.start[b]:st.end[b]], byteIdx-1)
-		}
-	}
 }
 
 func insertionSortPairs(ps []Pair) {
@@ -108,56 +19,6 @@ func insertionSortPairs(ps []Pair) {
 		}
 		ps[j+1] = p
 	}
-}
-
-// SortPairsAtByte performs one American-flag pass on the given byte position
-// and recurses downward — the wide-layout counterpart of the squeezed
-// SortKeys32Bits: callers that partitioned a slice with
-// PartitionPairsTopByte finish each bucket here, and the combined result is
-// bit-identical to SortPairsInPlace.
-func SortPairsAtByte(ps []Pair, byteIdx int) { sortPairsAtByte(ps, byteIdx) }
-
-// PartitionPairsTopByte is the wide-layout counterpart of the squeezed
-// PartitionTop32: the first splitting American-flag pass of
-// SortPairsInPlace (via flagPassPairs, the sorter's own pass), returning
-// bucket boundaries and the byte index the buckets still need sorting at
-// (negative: nothing left to sort).
-func PartitionPairsTopByte(ps []Pair) (bounds [257]int, nextByte int) {
-	if len(ps) < 2 {
-		return bounds, -1
-	}
-	var or uint64
-	for i := range ps {
-		or |= ps[i].Key
-	}
-	if or == 0 {
-		return bounds, -1
-	}
-	byteIdx := topByte(or)
-	for {
-		var st flagStatePairs
-		flagPassPairs(ps, byteIdx, &st)
-		if st.nonEmpty == 1 {
-			if byteIdx == 0 {
-				return bounds, -1 // every key identical
-			}
-			byteIdx--
-			continue
-		}
-		copy(bounds[:256], st.start[:])
-		bounds[256] = len(ps)
-		return bounds, byteIdx - 1
-	}
-}
-
-// PairsSorted reports whether ps is non-decreasing by Key.
-func PairsSorted(ps []Pair) bool {
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].Key > ps[i].Key {
-			return false
-		}
-	}
-	return true
 }
 
 // GrowPairs returns (*buf)[:n], reallocating only when capacity is short;

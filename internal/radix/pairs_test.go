@@ -7,6 +7,24 @@ import (
 	"testing/quick"
 )
 
+// These tests hold the pair sort to its in-place contract: SortPairsStable
+// leaves the result in the caller's slice (aux is scratch only), which is
+// what COO.Dedup and ColumnESC rely on.
+
+// pairsSorted reports whether ps is in nondecreasing key order.
+func pairsSorted(ps []Pair) bool {
+	for i := 1; i < len(ps); i++ {
+		if ps[i].Key < ps[i-1].Key {
+			return false
+		}
+	}
+	return true
+}
+
+func sortPairsInPlace(ps []Pair) {
+	SortPairsStable(ps, make([]Pair, len(ps)), true)
+}
+
 func TestSortPairsInPlaceMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 2, 31, 32, 33, 500, 20000} {
@@ -17,13 +35,13 @@ func TestSortPairsInPlaceMatchesStdlib(t *testing.T) {
 			}
 			want := append([]Pair(nil), ps...)
 			sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
-			SortPairsInPlace(ps)
-			if !PairsSorted(ps) {
+			sortPairsInPlace(ps)
+			if !pairsSorted(ps) {
 				t.Fatalf("n=%d maxKey=%d: not sorted", n, maxKey)
 			}
 			for i := range ps {
-				if ps[i].Key != want[i].Key {
-					t.Fatalf("n=%d maxKey=%d: key[%d] = %d, want %d", n, maxKey, i, ps[i].Key, want[i].Key)
+				if ps[i] != want[i] {
+					t.Fatalf("n=%d maxKey=%d: tuple %d = %+v, want %+v", n, maxKey, i, ps[i], want[i])
 				}
 			}
 		}
@@ -38,7 +56,7 @@ func TestSortPairsInPlacePreservesPayloadMultiset(t *testing.T) {
 			ps[i] = Pair{Key: k % 1024, Val: float64(i)}
 			sum += float64(i)
 		}
-		SortPairsInPlace(ps)
+		sortPairsInPlace(ps)
 		var got float64
 		seen := make(map[float64]bool)
 		for _, p := range ps {
@@ -48,7 +66,7 @@ func TestSortPairsInPlacePreservesPayloadMultiset(t *testing.T) {
 			seen[p.Val] = true
 			got += p.Val
 		}
-		return got == sum && PairsSorted(ps)
+		return got == sum && pairsSorted(ps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -60,46 +78,13 @@ func TestSortPairsInPlaceAllEqual(t *testing.T) {
 	for i := range ps {
 		ps[i] = Pair{Key: 42, Val: float64(i)}
 	}
-	SortPairsInPlace(ps)
-	if !PairsSorted(ps) {
+	sortPairsInPlace(ps)
+	if !pairsSorted(ps) {
 		t.Fatal("equal keys broke sorting")
 	}
-}
-
-func BenchmarkSortPairsInPlace64K(b *testing.B) {
-	// One L2-sized bin: 64K tuples with 30-bit (squeezed) keys, the PB sort
-	// phase's unit of work.
-	r := rand.New(rand.NewSource(1))
-	src := make([]Pair, 1<<16)
-	for i := range src {
-		src[i] = Pair{Key: r.Uint64() & (1<<30 - 1), Val: r.Float64()}
-	}
-	work := make([]Pair, len(src))
-	b.SetBytes(int64(len(src) * 16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, src)
-		SortPairsInPlace(work)
-	}
-}
-
-func BenchmarkSortPairsParallelArrays64K(b *testing.B) {
-	// The same workload through the parallel-array variant, quantifying the
-	// packed layout's advantage (ablation for the tuple-layout choice).
-	r := rand.New(rand.NewSource(1))
-	srcK := make([]uint64, 1<<16)
-	srcV := make([]float64, 1<<16)
-	for i := range srcK {
-		srcK[i] = r.Uint64() & (1<<30 - 1)
-		srcV[i] = r.Float64()
-	}
-	wk := make([]uint64, len(srcK))
-	wv := make([]float64, len(srcV))
-	b.SetBytes(int64(len(srcK) * 16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(wk, srcK)
-		copy(wv, srcV)
-		SortPairs(wk, wv)
+	for i, p := range ps {
+		if p.Val != float64(i) {
+			t.Fatalf("tuple %d carries payload %v; equal keys must keep arrival order", i, p.Val)
+		}
 	}
 }

@@ -1,43 +1,74 @@
-// Package radix implements the in-place MSD radix sort ("American flag
-// sort", McIlroy/Bostic/McIlroy 1993) the paper uses to sort each global bin
-// of expanded tuples (Section III-D). Keys are packed (rowid, colid) pairs;
-// values travel with their keys as payloads.
+// Package radix implements the stable MSD radix sorts the paper uses to sort
+// each global bin of expanded tuples (Section III-D). Keys are packed
+// (rowid, colid) pairs; values travel with their keys as payloads.
+//
+// Every sorter is an American-flag MSD radix (McIlroy/Bostic/McIlroy 1993)
+// made stable: each splitting pass is a counting scatter that ping-pongs
+// between the tuple plane and a caller-provided scratch plane, so equal keys
+// keep their arrival (expand) order at every level. There is one family per
+// tuple layout — wide 16-byte Pairs (stablepairs.go), uint32 keys with a
+// value plane (stable32.go) and key-only pattern tuples (stablepattern.go)
+// — each with a plain sort, a partition/continue pair for bins split across
+// workers, and a fused sort+fold.
 //
 // The paper's key-squeezing optimization — representing the in-bin local row
 // id in ~10 bits so the combined key fits 4 bytes and needs only four passes —
-// is realized here by skipping byte positions that are zero across the whole
-// slice: PB-SpGEMM packs keys as localRow<<colBits|col, so small local row
-// ids leave the high key bytes zero and the sorter automatically performs
-// only the passes a 4-byte key would need.
+// is realized by skipping digits that are uniform across the slice:
+// PB-SpGEMM packs keys as localRow<<colBits|col, so small local row ids leave
+// the high key bits zero and the sorters perform only the passes the
+// occupied bits need.
+//
+// Fused sort→compress: the recursion visits buckets in ascending key order,
+// and a bucket that reaches its last digit (or the insertion cutoff) is
+// fully determined the moment the recursion leaves it. The fused variants
+// fold runs of equal keys right there and compact the aggregated (key, Σval)
+// tuples into the prefix of the same slice, so the separate compress pass —
+// a full re-read of the sorted buffer plus an nnz-sized write — never runs.
+// Because the sorts are stable, every fold accumulates values in arrival
+// order — the same left-to-right chain sort-then-compress produces — so
+// fused ≡ unfused ≡ split-across-workers holds bit-for-bit by construction,
+// for any digit plan and any thread count.
 package radix
+
+import (
+	"math"
+	"math/bits"
+)
 
 // insertionCutoff is the sub-slice size below which insertion sort beats the
 // bucket machinery. 32 is the conventional choice for 16-byte elements.
 const insertionCutoff = 32
 
-// SortPairs sorts keys ascending, permuting vals identically, in place.
-func SortPairs(keys []uint64, vals []float64) {
-	if len(keys) != len(vals) {
-		panic("radix: keys and vals length mismatch")
+// digitBits caps the American-flag digit width: 256 buckets keep each
+// pass's counter and cursor arrays inside L1 and each recursion frame's
+// state at a few KiB of stack.
+const digitBits = 8
+
+// maxBuckets sizes the per-pass counter arrays.
+const maxBuckets = 1 << digitBits
+
+// MaxPartitionBuckets is the most buckets PartitionTop32Scratch can emit;
+// callers size its bounds slice to MaxPartitionBuckets+1.
+const MaxPartitionBuckets = maxBuckets
+
+// digitWidth picks the digit width of one key32 pass: ~2 expected tuples
+// per bucket, capped by digitBits and the remaining key bits.
+func digitWidth(n, hiBits int) int {
+	w := bits.Len(uint(n) >> 1) // ≈ log2(n/2)
+	if w < 4 {
+		w = 4
 	}
-	if len(keys) < 2 {
-		return
+	if w > digitBits {
+		w = digitBits
 	}
-	// Find the highest byte position that is not uniformly zero. OR-ing all
-	// keys gives the occupied bit positions.
-	var or uint64
-	for _, k := range keys {
-		or |= k
+	if w > hiBits {
+		w = hiBits
 	}
-	if or == 0 {
-		return // all keys zero: already sorted
-	}
-	top := topByte(or)
-	sortAtByte(keys, vals, top)
+	return w
 }
 
 // topByte returns the index (0 = least significant) of the most significant
-// non-zero byte of x.
+// non-zero byte of x: the first byte digit the wide sorter splits on.
 func topByte(x uint64) int {
 	b := 0
 	for s := 32; s >= 8; s >>= 1 {
@@ -49,107 +80,16 @@ func topByte(x uint64) int {
 	return b
 }
 
-// sortAtByte performs one American-flag pass on the given byte position and
-// recurses into buckets on the next lower byte.
-func sortAtByte(keys []uint64, vals []float64, byteIdx int) {
-	n := len(keys)
-	if n < 2 {
-		return
-	}
-	if n <= insertionCutoff {
-		insertionSort(keys, vals)
-		return
-	}
-	shift := uint(byteIdx * 8)
-
-	// Count bucket sizes.
-	var count [256]int
-	for _, k := range keys {
-		count[(k>>shift)&0xff]++
-	}
-
-	// If everything landed in one bucket this byte is uninformative; recurse
-	// directly (common when keys were squeezed into fewer bytes).
-	var start [256]int
-	var end [256]int
-	sum := 0
-	nonEmpty := 0
-	for b := 0; b < 256; b++ {
-		start[b] = sum
-		sum += count[b]
-		end[b] = sum
-		if count[b] > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 1 {
-		if byteIdx > 0 {
-			sortAtByte(keys, vals, byteIdx-1)
-		}
-		return
-	}
-
-	// Permute in place: for each bucket, swap misplaced elements into their
-	// home bucket until this bucket's range is fully settled.
-	var cursor [256]int
-	copy(cursor[:], start[:])
-	for b := 0; b < 256; b++ {
-		for cursor[b] < end[b] {
-			k := keys[cursor[b]]
-			home := int((k >> shift) & 0xff)
-			if home == b {
-				cursor[b]++
-				continue
-			}
-			// Swap into the home bucket's next free slot.
-			j := cursor[home]
-			keys[cursor[b]], keys[j] = keys[j], k
-			vals[cursor[b]], vals[j] = vals[j], vals[cursor[b]]
-			cursor[home]++
-		}
-	}
-
-	if byteIdx == 0 {
-		return
-	}
-	for b := 0; b < 256; b++ {
-		if count[b] > 1 {
-			sortAtByte(keys[start[b]:end[b]], vals[start[b]:end[b]], byteIdx-1)
-		}
-	}
+// Numeric is the value constraint of the fused fold: the engine's semiring
+// fast paths fold with +, so the fused sorter needs addition — float64 (the
+// squeezed layout), float32 and int32 (the narrow layout).
+type Numeric interface {
+	~float32 | ~float64 | ~int32
 }
 
-// insertionSort sorts a small slice of pairs.
-func insertionSort(keys []uint64, vals []float64) {
-	for i := 1; i < len(keys); i++ {
-		k, v := keys[i], vals[i]
-		j := i - 1
-		for j >= 0 && keys[j] > k {
-			keys[j+1] = keys[j]
-			vals[j+1] = vals[j]
-			j--
-		}
-		keys[j+1] = k
-		vals[j+1] = v
-	}
-}
-
-// IsSorted reports whether keys is non-decreasing.
-func IsSorted(keys []uint64) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] > keys[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Passes returns the number of byte passes SortPairs will need for keys whose
-// OR is x — the quantity the paper's key-squeezing argument minimizes (8
-// passes for raw 8-byte keys, 4 for squeezed 4-byte keys).
-func Passes(x uint64) int {
-	if x == 0 {
-		return 0
-	}
-	return topByte(x) + 1
+// negZero is the additive identity a fold accumulator starts from: −0.0 for
+// the float types (so a run of −0.0 values folds to −0.0, as a left-to-right
+// chain from the first value does) and 0 for int32.
+func negZero[V Numeric]() V {
+	return V(math.Copysign(0, -1))
 }

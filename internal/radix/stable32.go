@@ -9,12 +9,12 @@ import (
 // Stable out-of-place American-flag radix for the key32 planes (squeezed,
 // narrow and — via the key-only variants in stablepattern.go — pattern).
 //
-// Unlike the in-place cycle-following permute this ping-pongs each splitting
-// pass between the tuple buffer and a caller-provided scratch plane with a
-// STABLE counting scatter: equal keys keep their arrival (expand) order at
-// every level. Stability is what makes the fused and unfused paths, the
-// split-bin parallel path, and every thread count produce bit-identical
-// arrays by construction — any stable sort of the same bin yields the same
+// Unlike the classic in-place cycle-following permute this ping-pongs each
+// splitting pass between the tuple buffer and a caller-provided scratch
+// plane with a STABLE counting scatter: equal keys keep their arrival
+// (expand) order at every level. Stability is what makes the fused and
+// unfused paths, the split-bin parallel path, and every thread count
+// produce bit-identical arrays by construction — any stable sort of the same bin yields the same
 // tuple sequence, and every fold over an equal-key group is the same
 // left-to-right chain in arrival order.
 //
@@ -56,10 +56,17 @@ func accum32[V Numeric](keys []uint32, vals []V, mask uint32, acc *[maxBuckets]V
 	}
 }
 
-// SortKeys32Scratch stably sorts keys and carries vals along. auxK/auxV are
-// scratch planes of at least len(keys); their contents are clobbered.
+// SortKeys32Scratch stably sorts keys and carries vals along. The value
+// plane is layout-generic: the engine instantiates it with float64 (the
+// squeezed 12-byte layout) or a 4-byte value (the narrow 8-byte layout);
+// the sorter never inspects a value, only moves it with its key. vals must
+// be as long as keys, and auxK/auxV are scratch planes of at least
+// len(keys) whose contents are clobbered.
 func SortKeys32Scratch[V any](keys []uint32, vals []V, auxK []uint32, auxV []V, batch bool) {
 	n := len(keys)
+	if len(vals) != n {
+		panic("radix: keys and vals length mismatch")
+	}
 	if n < 2 {
 		return
 	}
@@ -171,6 +178,20 @@ func stableSort32[V any](srcK []uint32, srcV []V, altK []uint32, altV []V, hiBit
 			}
 		}
 		return
+	}
+}
+
+func insertionSortKeys32[V any](keys []uint32, vals []V) {
+	for i := 1; i < len(keys); i++ {
+		k, v := keys[i], vals[i]
+		j := i - 1
+		for j >= 0 && keys[j] > k {
+			keys[j+1] = keys[j]
+			vals[j+1] = vals[j]
+			j--
+		}
+		keys[j+1] = k
+		vals[j+1] = v
 	}
 }
 
@@ -333,7 +354,13 @@ func (f *fuse32S[V]) sort(srcK []uint32, srcV []V, altK []uint32, altV []V, hiBi
 	if shift == 0 {
 		// Last digit: one sequential accumulate in arrival order, then
 		// emit per occupied bucket. Reads all of src before any emit.
+		// Accumulators start at −0.0 so a bucket of −0.0 values keeps its
+		// sign, exactly as a fold seeded with the first value does.
 		var acc [maxBuckets]V
+		nz := negZero[V]()
+		for b := range nb {
+			acc[b] = nz
+		}
 		accum32(srcK, srcV, mask, &acc, f.batch)
 		base := srcK[0] &^ mask
 		out := f.n
@@ -404,4 +431,14 @@ func (f *fuse32S[V]) insertionFold(srcK []uint32, srcV []V) {
 		out++
 	}
 	f.n = out
+}
+
+// GrowUint32 returns (*buf)[:n], reallocating only when capacity is short;
+// contents are unspecified. Counterpart of GrowPairs for the key32 planes.
+func GrowUint32(buf *[]uint32, n int64) []uint32 {
+	if int64(cap(*buf)) < n {
+		*buf = make([]uint32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }

@@ -1,9 +1,8 @@
 package radix
 
-// Wide-layout (16-byte Pair) twins of stable32.go, on whole-byte digits
-// like the original pair sorter. The legacy in-place SortPairsInPlace /
-// SortPairs in pairs.go stay untouched — they serve the ESC baseline and
-// format conversion, which have no scratch planes.
+// Wide-layout (16-byte Pair) twins of stable32.go, on whole-byte digits so
+// a full 64-bit key (the ESC baseline's column ids, COO.Dedup's row<<32|col)
+// sorts in at most eight passes.
 
 // SortPairsStable stably sorts ps by Key. aux must be at least len(ps); its
 // contents are clobbered.
@@ -242,7 +241,13 @@ func (f *fusePairsS) sort(src []Pair, alt []Pair, byteIdx int) {
 	if byteIdx == 0 {
 		// Last byte: sequential accumulate in arrival order, then emit
 		// per occupied bucket. Reads all of src before any emit.
+		// −0.0 seeds keep the sign of a bucket of −0.0 values (see
+		// fuse32S.sort).
 		var acc [maxBuckets]float64
+		nz := negZero[float64]()
+		for b := range acc {
+			acc[b] = nz
+		}
 		accumPairs(src, &acc, f.batch)
 		base := src[0].Key &^ 0xff
 		out := f.n

@@ -124,6 +124,18 @@ func stableSortPattern(srcK []uint32, altK []uint32, hiBits int, inOrig, batch b
 	}
 }
 
+func insertionSortKeys32Pattern(keys []uint32) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i - 1
+		for j >= 0 && keys[j] > k {
+			keys[j+1] = keys[j]
+			j--
+		}
+		keys[j+1] = k
+	}
+}
+
 func insertionIntoPattern(srcK []uint32, dstK []uint32) {
 	for i := 0; i < len(srcK); i++ {
 		k := srcK[i]

@@ -192,10 +192,9 @@ func TestEngineMetricsByAlgorithm(t *testing.T) {
 	}
 }
 
-// TestWithBetaValidationAndLegacyAuto: negative beta is rejected like every
-// option, and the deprecated struct entry point refuses Auto (it has no
-// planner).
-func TestWithBetaValidationAndLegacyAuto(t *testing.T) {
+// TestWithBetaValidationAndAuto: negative beta is rejected like every
+// option, and Auto is a valid algorithm value.
+func TestWithBetaValidationAndAuto(t *testing.T) {
 	a := NewER(64, 3, 1)
 	eng, err := NewEngine()
 	if err != nil {
@@ -203,9 +202,6 @@ func TestWithBetaValidationAndLegacyAuto(t *testing.T) {
 	}
 	if _, err := eng.Multiply(context.Background(), a, a, WithBeta(-1)); !errors.Is(err, ErrInvalidOption) {
 		t.Fatalf("WithBeta(-1) returned %v, want ErrInvalidOption", err)
-	}
-	if _, err := Multiply(a, a, Options{Algorithm: Auto}); err == nil {
-		t.Fatal("legacy Multiply accepted Auto")
 	}
 	// Auto itself is a valid option value.
 	if err := WithAlgorithm(Auto)(&config{}); err != nil {

@@ -1,6 +1,7 @@
 package pbspgemm
 
 import (
+	"pbspgemm/internal/core"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/semiring"
 )
@@ -139,7 +140,7 @@ func EWiseMult[T any](sr Semiring[T], a, b *Matrix[T]) (*Matrix[T], error) {
 
 // semiringOptions lowers the resolved config to the generic engine's
 // options; ws is the pooled workspace (nil for one-shot calls).
-func (c *config) semiringOptions(ws *Workspace) semiring.Options {
+func (c *config) semiringOptions(ws *core.Workspace) semiring.Options {
 	return semiring.Options{
 		Threads:           c.threads,
 		MemoryBudgetBytes: c.budget,

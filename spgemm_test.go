@@ -2,21 +2,48 @@ package pbspgemm
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
+
+	"pbspgemm/internal/matrix"
 )
+
+// mustEngine returns an Engine with the given defaults or fails the test.
+func mustEngine(tb testing.TB, defaults ...Option) *Engine {
+	tb.Helper()
+	eng, err := NewEngine(defaults...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
+// multiply computes a*b on a fresh Engine or fails the test.
+func multiply(tb testing.TB, a, b *CSR, opts ...Option) *Result {
+	tb.Helper()
+	res, err := mustEngine(tb).Multiply(context.Background(), a, b, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// allAlgorithms is every concrete kernel the Engine dispatches.
+var allAlgorithms = []Algorithm{PB, Heap, Hash, HashVec, SPA, OuterHeapNaive, ColumnESC}
 
 func TestPublicMultiplyAllAlgorithms(t *testing.T) {
 	a := NewER(256, 6, 1)
 	b := NewER(256, 6, 2)
 	want := Reference(a, b)
-	for _, alg := range []Algorithm{PB, Heap, Hash, HashVec, SPA, OuterHeapNaive, ColumnESC} {
+	for _, alg := range allAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
-			res, err := Multiply(a, b, Options{Algorithm: alg})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := multiply(t, a, b, WithAlgorithm(alg))
 			if !EqualWithin(want, res.C, 1e-9) {
 				t.Fatal("result differs from reference")
+			}
+			if res.Algorithm != alg {
+				t.Errorf("result reports %v, want %v", res.Algorithm, alg)
 			}
 			if res.Flops != Flops(a, b) {
 				t.Errorf("flops %d, want %d", res.Flops, Flops(a, b))
@@ -38,26 +65,28 @@ func TestPublicMultiplyAllAlgorithms(t *testing.T) {
 }
 
 // TestPublicWorkspaceAndBudget exercises the execution-engine options
-// through the public API: repeated multiplications through one workspace,
-// with and without a memory budget, stay correct and report tiling.
+// through the public API: repeated multiplications on one Engine (which
+// reuses its pooled workspace), with and without a memory budget, stay
+// correct and report tiling.
 func TestPublicWorkspaceAndBudget(t *testing.T) {
 	a := NewER(512, 6, 3)
 	b := NewER(512, 6, 4)
 	want := Reference(a, b)
-	ws := NewWorkspace()
+	eng := mustEngine(t, WithThreads(1))
+	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		res, err := Multiply(a, b, Options{Workspace: ws})
+		res, err := eng.Multiply(ctx, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !EqualWithin(want, res.C, 1e-9) {
-			t.Fatalf("iteration %d: workspace result differs from reference", i)
+			t.Fatalf("iteration %d: pooled result differs from reference", i)
 		}
 		if res.PB.NPanels != 1 {
 			t.Fatalf("unbudgeted run tiled into %d panels", res.PB.NPanels)
 		}
 	}
-	res, err := Multiply(a, b, Options{Workspace: ws, MemoryBudgetBytes: 32 << 10})
+	res, err := eng.Multiply(ctx, a, b, WithMemoryBudget(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,22 +96,11 @@ func TestPublicWorkspaceAndBudget(t *testing.T) {
 	if res.PB.NPanels < 2 {
 		t.Fatalf("expected tiling under 32 KiB budget, got %d panels", res.PB.NPanels)
 	}
-	// The same workspace also serves the partitioned variant.
-	resP, err := MultiplyPartitioned(a, b, 2, Options{Workspace: ws, MemoryBudgetBytes: 32 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWithin(want, resP.C, 1e-9) {
-		t.Fatal("partitioned budgeted result differs from reference")
-	}
 }
 
 func TestPublicSquare(t *testing.T) {
 	a := NewRMAT(8, 4, 3)
-	res, err := Square(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := multiply(t, a, a)
 	if !EqualWithin(Reference(a, a), res.C, 1e-9) {
 		t.Fatal("square differs from reference")
 	}
@@ -91,15 +109,15 @@ func TestPublicSquare(t *testing.T) {
 func TestPublicShapeError(t *testing.T) {
 	a := NewER(16, 2, 1)
 	b := NewER(32, 2, 2)
-	if _, err := Multiply(a, b, Options{}); err == nil {
-		t.Fatal("expected shape error")
+	if _, err := mustEngine(t).Multiply(context.Background(), a, b); !errors.Is(err, matrix.ErrShape) {
+		t.Fatalf("got %v, want a shape error", err)
 	}
 }
 
 func TestPublicUnknownAlgorithm(t *testing.T) {
 	a := NewER(16, 2, 1)
-	if _, err := Multiply(a, a, Options{Algorithm: Algorithm(99)}); err == nil {
-		t.Fatal("expected unknown-algorithm error")
+	if _, err := mustEngine(t).Multiply(context.Background(), a, a, WithAlgorithm(Algorithm(99))); !errors.Is(err, ErrInvalidOption) {
+		t.Fatalf("got %v, want ErrInvalidOption", err)
 	}
 	if Algorithm(99).String() == "" {
 		t.Fatal("unknown algorithm must still print")
