@@ -57,7 +57,8 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 	segStart := matrix.GrowInt64(&ws.segStart, rows+1)
 	flops := par.PrefixSum(rowFlops, segStart)
 	st.Flops = flops
-	tuples := radix.GrowPairs(&ws.tuples, flops)
+	keys := radix.Grow(&ws.escKeys, flops)
+	vals := radix.Grow(&ws.escVals, flops)
 	st.Symbolic = time.Since(t0)
 	if err := poll(opt.Cancel); err != nil {
 		return nil, nil, err
@@ -69,10 +70,10 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 	bounds := par.BalancedBoundariesInto(rowFlops, threads, matrix.GrowInt(&ws.bounds, threads+1))
 	rowOut := matrix.GrowInt64(&ws.rowOut, rows)
 	if threads == 1 {
-		escRange(a, b, tuples, &ws.threads[0].escAux, segStart, rowOut, 0, rows)
+		escRange(a, b, keys, vals, &ws.threads[0], segStart, rowOut, 0, rows)
 	} else {
 		par.ParallelRun(threads, func(t int) {
-			escRange(a, b, tuples, &ws.threads[t].escAux, segStart, rowOut, bounds[t], bounds[t+1])
+			escRange(a, b, keys, vals, &ws.threads[t], segStart, rowOut, bounds[t], bounds[t+1])
 		})
 	}
 	if err := poll(opt.Cancel); err != nil {
@@ -84,10 +85,10 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 	nnzc := par.PrefixSum(rowOut, c.RowPtr)
 	ws.growOutput(c, nnzc, shared)
 	if threads == 1 {
-		escAssembleRange(c, tuples, segStart, rowOut, 0, rows)
+		escAssembleRange(c, keys, vals, segStart, rowOut, 0, rows)
 	} else {
 		par.ForRanges(rows, threads, func(_, lo, hi int) {
-			escAssembleRange(c, tuples, segStart, rowOut, lo, hi)
+			escAssembleRange(c, keys, vals, segStart, rowOut, lo, hi)
 		})
 	}
 	st.Numeric = time.Since(t0)
@@ -103,48 +104,38 @@ func ColumnESC(a, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 }
 
 // escRange expands, sorts and compresses the segments of rows [lo, hi),
-// writing per-row output counts into rowOut. aux is the calling thread's
-// pooled sort scratch, grown to the longest segment it meets.
-func escRange(a, b *matrix.CSR, tuples []radix.Pair, aux *[]radix.Pair, segStart, rowOut []int64, lo, hi int) {
+// writing per-row output counts into rowOut. Keys are B's column ids; the
+// fused radix sort folds equal columns in expansion order as it sorts,
+// leaving the compressed row at the front of its segment. sc supplies the
+// calling thread's pooled sort scratch, grown to the longest segment it
+// meets.
+func escRange(a, b *matrix.CSR, keys []uint32, vals []float64, sc *scratch, segStart, rowOut []int64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		seg := tuples[segStart[i]:segStart[i+1]]
+		segK := keys[segStart[i]:segStart[i+1]]
+		segV := vals[segStart[i]:segStart[i+1]]
 		pos := 0
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			k := a.ColIdx[p]
 			av := a.Val[p]
 			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-				seg[pos] = radix.Pair{Key: uint64(b.ColIdx[q]), Val: av * b.Val[q]}
+				segK[pos], segV[pos] = uint32(b.ColIdx[q]), av*b.Val[q]
 				pos++
 			}
 		}
-		radix.SortPairsStable(seg, radix.GrowPairs(aux, int64(len(seg))), true)
-		// Two-pointer compress within the row segment.
-		if len(seg) == 0 {
-			rowOut[i] = 0
-			continue
-		}
-		p2 := 0
-		for p1 := 1; p1 < len(seg); p1++ {
-			if seg[p1].Key == seg[p2].Key {
-				seg[p2].Val += seg[p1].Val
-				continue
-			}
-			p2++
-			seg[p2] = seg[p1]
-		}
-		rowOut[i] = int64(p2 + 1)
+		n := int64(len(segK))
+		rowOut[i] = radix.SortFusedScratch(segK, segV, radix.Grow(&sc.escAuxK, n), radix.Grow(&sc.escAuxV, n), true)
 	}
 }
 
 // escAssembleRange copies the compressed segments of rows [lo, hi) into the
 // final CSR arrays.
-func escAssembleRange(c *matrix.CSR, tuples []radix.Pair, segStart, rowOut []int64, lo, hi int) {
+func escAssembleRange(c *matrix.CSR, keys []uint32, vals []float64, segStart, rowOut []int64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		src := segStart[i]
 		dst := c.RowPtr[i]
 		for j := int64(0); j < rowOut[i]; j++ {
-			c.ColIdx[dst+j] = int32(tuples[src+j].Key)
-			c.Val[dst+j] = tuples[src+j].Val
+			c.ColIdx[dst+j] = int32(keys[src+j])
 		}
+		copy(c.Val[dst:dst+rowOut[i]], vals[src:src+rowOut[i]])
 	}
 }

@@ -145,11 +145,11 @@ func sortPairs(cols []int32, vals []float64) {
 		}
 		return
 	}
-	heapSortPairs(cols, vals)
+	heapSortByCol(cols, vals)
 }
 
-// heapSortPairs is an in-place max-heap sort over parallel arrays.
-func heapSortPairs(cols []int32, vals []float64) {
+// heapSortByCol is an in-place max-heap sort over parallel arrays.
+func heapSortByCol(cols []int32, vals []float64) {
 	n := len(cols)
 	for root := n/2 - 1; root >= 0; root-- {
 		siftDownPairs(cols, vals, root, n)

@@ -1,9 +1,6 @@
 package baseline
 
-import (
-	"pbspgemm/internal/matrix"
-	"pbspgemm/internal/radix"
-)
+import "pbspgemm/internal/matrix"
 
 // Workspace pools every buffer the column SpGEMM baselines need across
 // calls, mirroring core.Workspace for the PB engine: buffers are grow-only,
@@ -23,8 +20,9 @@ type Workspace struct {
 	bounds   []int
 	threads  []scratch
 
-	// ColumnESC's expanded-tuple pipeline.
-	tuples   []radix.Pair
+	// ColumnESC's expanded tuples: column-id keys and their products.
+	escKeys  []uint32
+	escVals  []float64
 	segStart []int64
 	rowOut   []int64
 
@@ -50,7 +48,8 @@ func (ws *Workspace) Reset() { *ws = Workspace{} }
 // accumulator family: the versioned marker doubles as the symbolic-phase
 // counter and SPA's occupancy stamp (SPA re-initializes it before the
 // numeric pass), dense+touched serve SPA, hashCols/hashVals the hash
-// variants, heap the k-way heap merge, and escAux ColumnESC's sort scratch.
+// variants, heap the k-way heap merge, and escAuxK/escAuxV ColumnESC's sort
+// scratch planes.
 type scratch struct {
 	marker   []int32
 	touched  []int32
@@ -58,7 +57,8 @@ type scratch struct {
 	hashCols []int32
 	hashVals []float64
 	heap     []heapEntry
-	escAux   []radix.Pair
+	escAuxK  []uint32
+	escAuxV  []float64
 }
 
 // growThreads makes ws.threads at least n entries long, preserving pooled

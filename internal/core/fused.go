@@ -16,7 +16,7 @@ import (
 // dominant data structure from DRAM:
 //
 //   - The sort's last digit pass folds equal keys as buckets complete
-//     (radix.SortKeys32FusedScratch / radix.SortPairsFusedScratch): the
+//     (radix.SortFusedScratch / radix.SortKeys32FusedPatternScratch): the
 //     two-pointer compress — a full cold re-read of the sorted tuple buffer
 //     plus an nnz-sized write — disappears into the sort epilogue, where the leaf
 //     being folded is still cache-resident. The fused phase also tallies
@@ -50,8 +50,7 @@ import (
 
 // sortTask is one unit of sort-phase work for the work-stealing scheduler: a
 // whole bin, or (bucket=true) one top-digit bucket of a partitioned
-// oversized bin, with arg carrying the remaining key bits (squeezed) or next
-// byte index (wide) to sort at.
+// oversized bin, with arg carrying the remaining key bits to sort at.
 type sortTask struct {
 	bin        int32
 	bucket     bool
@@ -163,9 +162,8 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	// Oversized skewed bin: run the sort's own first partition pass here and
 	// spawn the buckets; idle workers steal them, so neither the partition
 	// nor the bucket sorts serialize the phase. The layout provides the pass
-	// (radix.PartitionTop32Scratch / PartitionTop32PatternScratch /
-	// PartitionPairsScratch); zero buckets means the pass alone finished the
-	// range.
+	// (radix.PartitionTopScratch / PartitionTop32PatternScratch); zero
+	// buckets means the pass alone finished the range.
 	lo, hi := t.start, t.end
 	stride := radix.MaxPartitionBuckets + 1
 	bounds := partBounds[worker*stride : (worker+1)*stride]
@@ -220,7 +218,7 @@ func (e *engine) countMergeBins() {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteMergeBin, 0)
 			}
-			e.countMergeBin(0, bin)
+			e.keys.countMergeBin(e, 0, bin)
 		}
 	} else {
 		par.ForEachDynamic(e.nbins, e.opt.Threads, func(worker, bin int) {
@@ -231,85 +229,38 @@ func (e *engine) countMergeBins() {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteMergeBin, worker)
 			}
-			e.countMergeBin(worker, bin)
+			e.keys.countMergeBin(e, worker, bin)
 		})
 	}
 }
 
-func (e *engine) countMergeBin(worker, bin int) {
+// countMergeBin is one bin's counting walk: mergeBin's select-min order,
+// counting each distinct key and tallying its row without moving a tuple.
+func (kp *keyPlanes[K]) countMergeBin(e *engine, worker, bin int) {
 	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	firstRow := int32(int64(bin) << e.rowShift)
-	rowCounts := ws.rowCounts
+	group := e.runGroup(bin)
 	var n int64
-	switch k {
+	switch len(group) {
 	case 0:
 	case 1:
 		// Runs are individually duplicate-free: the count is the run length.
 		r := group[0]
 		n = ws.runStart[r+1] - ws.runStart[r]
-		if e.key32 {
-			for _, key := range ws.runKeys[ws.runStart[r]:ws.runStart[r+1]] {
-				rowCounts[firstRow+int32(key>>e.colBits)+1]++
-			}
-		} else {
-			for i := ws.runStart[r]; i < ws.runStart[r+1]; i++ {
-				rowCounts[firstRow+int32(ws.runs[i].Key>>e.colBits)+1]++
-			}
-		}
+		tallyKeys(e, kp.run[ws.runStart[r]:ws.runStart[r+1]], ws.rowCounts, bin)
 	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		if e.key32 {
-			var last uint32
-			for {
-				best := -1
-				var bestKey uint32
-				for i, r := range group {
-					h := heads[i]
-					if h == ws.runStart[r+1] {
-						continue // run exhausted
-					}
-					if key := ws.runKeys[h]; best < 0 || key < bestKey {
-						best, bestKey = i, key
-					}
-				}
-				if best < 0 {
-					break
-				}
-				heads[best]++
-				if n == 0 || bestKey != last {
-					n++
-					last = bestKey
-					rowCounts[firstRow+int32(bestKey>>e.colBits)+1]++
-				}
+		heads := e.mergeHeads(worker, group)
+		firstRow := int32(int64(bin) << e.rowShift)
+		var last K
+		for {
+			best, key := minHead(kp.run, ws.runStart, group, heads)
+			if best < 0 {
+				break
 			}
-		} else {
-			var last uint64
-			for {
-				best := -1
-				var bestKey uint64
-				for i, r := range group {
-					h := heads[i]
-					if h == ws.runStart[r+1] {
-						continue
-					}
-					if key := ws.runs[h].Key; best < 0 || key < bestKey {
-						best, bestKey = i, key
-					}
-				}
-				if best < 0 {
-					break
-				}
-				heads[best]++
-				if n == 0 || bestKey != last {
-					n++
-					last = bestKey
-					rowCounts[firstRow+int32(bestKey>>e.colBits)+1]++
-				}
+			heads[best]++
+			if n == 0 || key != last {
+				n++
+				last = key
+				ws.rowCounts[firstRow+int32(key>>e.colBits)+1]++
 			}
 		}
 	}
@@ -343,58 +294,5 @@ func (e *engine) emitMergeBins(c *matrix.CSR, binOutStart []int64) {
 			}
 			e.lay.emitMergeBin(e, c, binOutStart, worker, bin)
 		})
-	}
-}
-
-// emitMergeBinWide is the wide layout's emitting walk (wideOps.emitMergeBin).
-func (e *engine) emitMergeBinWide(c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dst := binOutStart[bin]
-	colMask := uint64(1)<<e.colBits - 1
-	switch k {
-	case 0:
-	case 1:
-		r := group[0]
-		s := ws.runStart[r]
-		n := ws.runStart[r+1] - s
-		for j := int64(0); j < n; j++ {
-			c.ColIdx[dst+j] = int32(ws.runs[s+j].Key & colMask)
-			c.Val[dst+j] = ws.runs[s+j].Val
-		}
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		var emitted int64
-		var last uint64
-		for {
-			best := -1
-			var bestKey uint64
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue
-				}
-				if key := ws.runs[h].Key; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			v := ws.runs[heads[best]].Val
-			heads[best]++
-			if emitted > 0 && bestKey == last {
-				c.Val[dst+emitted-1] += v
-			} else {
-				c.ColIdx[dst+emitted] = int32(bestKey & colMask)
-				c.Val[dst+emitted] = v
-				emitted++
-				last = bestKey
-			}
-		}
 	}
 }

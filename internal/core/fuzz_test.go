@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pbspgemm/internal/matrix"
@@ -11,6 +12,25 @@ import (
 // in float64), so every summation order produces bit-identical results and
 // the budgeted path can be held to exact equality with the single-shot path.
 func fuzzMatrices(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
+	return decodeFuzz(data, func(v byte) float64 { return float64(v%7) + 1 })
+}
+
+// fuzzMatricesReal is fuzzMatrices with signed real values that round when
+// summed, so results depend on summation order, and with −0.0 entries, so
+// results depend on the sign of zero: the strict inputs for layout
+// comparisons that claim bit-identity.
+func fuzzMatricesReal(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
+	return decodeFuzz(data, func(v byte) float64 {
+		if v%9 == 0 {
+			return math.Copysign(0, -1)
+		}
+		return (float64(int8(v)) + 0.5) / 3
+	})
+}
+
+// decodeFuzz shapes data into A and B, three bytes (row, column, value)
+// per entry, alternating between A and B; val maps the value byte.
+func decodeFuzz(data []byte, val func(byte) float64) (*matrix.CSC, *matrix.CSR, bool) {
 	if len(data) < 3 {
 		return nil, nil, false
 	}
@@ -21,71 +41,83 @@ func fuzzMatrices(data []byte) (*matrix.CSC, *matrix.CSR, bool) {
 
 	cooA := &matrix.COO{NumRows: rows, NumCols: inner}
 	cooB := &matrix.COO{NumRows: inner, NumCols: cols}
-	// Alternate entries between A and B, three bytes each.
 	for i := 0; i+2 < len(data); i += 3 {
-		r, c, v := data[i], data[i+1], int64(data[i+2]%7)+1
+		r, c, v := data[i], data[i+1], val(data[i+2])
 		if (i/3)%2 == 0 {
 			cooA.Row = append(cooA.Row, int32(r)%rows)
 			cooA.Col = append(cooA.Col, int32(c)%inner)
-			cooA.Val = append(cooA.Val, float64(v))
+			cooA.Val = append(cooA.Val, v)
 		} else {
 			cooB.Row = append(cooB.Row, int32(r)%inner)
 			cooB.Col = append(cooB.Col, int32(c)%cols)
-			cooB.Val = append(cooB.Val, float64(v))
+			cooB.Val = append(cooB.Val, v)
 		}
 	}
 	return cooA.ToCSC(), cooB.ToCSR(), true
 }
 
 // FuzzSqueezedVsWide drives random shapes through both tuple layouts —
-// forced via Options.ForceLayout — and asserts identical CSR. Values are
-// small integers (see fuzzMatrices), so every summation order is exact and
-// the layouts can be held to exact equality even though their radix digit
-// plans fold duplicate keys in different orders. Budgeted and multi-thread
-// variants ride along.
+// forced via Options.ForceLayout — and requires bit-identical CSR
+// (math.Float64bits, so −0.0 and +0.0 differ). The layouts differ only in
+// the key plane's width: both expand in the same order and fold with stable
+// sorts in arrival order, so every variant (single-shot, multi-thread,
+// pooled, budgeted) must match its wide twin bit for bit, on integer inputs
+// and on signed real inputs with −0.0 alike. On integer inputs every
+// summation order is exact, so each variant must also equal single-shot
+// wide.
 func FuzzSqueezedVsWide(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})
+	f.Add([]byte{3, 2, 3, 0, 0, 9, 0, 0, 18, 1, 1, 200, 0, 1, 27, 1, 0, 131, 0, 2, 45})
 
 	wsSq, wsWide := NewWorkspace(), NewWorkspace()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b, ok := fuzzMatrices(data)
-		if !ok {
-			return
-		}
-		wide, stW, err := Multiply(a, b, Options{ForceLayout: LayoutWide})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stW.Layout != LayoutWide {
-			t.Fatalf("forced wide ran %v", stW.Layout)
-		}
-		for _, opt := range []Options{
-			{ForceLayout: LayoutSqueezed},
-			{ForceLayout: LayoutSqueezed, Threads: 3},
-			{ForceLayout: LayoutSqueezed, Threads: 1, Workspace: wsSq},
-			{ForceLayout: LayoutSqueezed, MemoryBudgetBytes: 256},
-		} {
-			sq, stS, err := Multiply(a, b, opt)
+		for _, in := range []struct {
+			decode func([]byte) (*matrix.CSC, *matrix.CSR, bool)
+			exact  bool // integer values: every summation order agrees
+		}{{fuzzMatrices, true}, {fuzzMatricesReal, false}} {
+			a, b, ok := in.decode(data)
+			if !ok {
+				return
+			}
+			wide, _, err := Multiply(a, b, Options{ForceLayout: LayoutWide})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// These fuzz shapes are ≤ 24 wide, so squeezing always applies.
-			if stS.Layout != LayoutSqueezed {
-				t.Fatalf("forced squeezed ran %v (opt %+v)", stS.Layout, opt)
+			for _, opt := range []Options{
+				{},
+				{Threads: 3},
+				{Threads: 1, Workspace: wsSq},
+				{MemoryBudgetBytes: 256},
+			} {
+				opt.ForceLayout = LayoutSqueezed
+				sq, stS, err := Multiply(a, b, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// These fuzz shapes are ≤ 24 wide, so squeezing always applies.
+				if stS.Layout != LayoutSqueezed {
+					t.Fatalf("forced squeezed ran %v (opt %+v)", stS.Layout, opt)
+				}
+				if opt.Workspace != nil {
+					opt.Workspace = wsWide
+				}
+				opt.ForceLayout = LayoutWide
+				wd, stW, err := Multiply(a, b, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stW.Layout != LayoutWide {
+					t.Fatalf("forced wide ran %v", stW.Layout)
+				}
+				if !csrBitIdentical(sq, wd) {
+					t.Fatalf("squeezed output (opt %+v) differs from wide", opt)
+				}
+				if in.exact && !csrBitIdentical(wide, wd) {
+					t.Fatalf("wide output (opt %+v) differs from single-shot wide", opt)
+				}
 			}
-			if !matrix.Equal(wide, sq, 0) {
-				t.Fatalf("squeezed output (opt %+v) differs from wide", opt)
-			}
-		}
-		// And the wide budgeted/pooled variants against plain wide.
-		got, _, err := Multiply(a, b, Options{ForceLayout: LayoutWide, MemoryBudgetBytes: 128, Workspace: wsWide})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matrix.Equal(wide, got, 0) {
-			t.Fatal("budgeted wide differs from single-shot wide")
 		}
 	})
 }

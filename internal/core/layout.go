@@ -11,31 +11,34 @@ import (
 	"pbspgemm/internal/simd"
 )
 
-// This file is the value-width-generic layout layer. The paper's traffic
-// argument — SpGEMM is bandwidth-bound, so bytes-per-tuple is the lever —
-// does not stop at the 12-byte squeezed layout: a Boolean/structural product
-// never reads its values (4-byte key-only tuples), and float32/int32
-// workloads need only half the value plane (8-byte key32+val32 tuples). Each
+// This file is the key- and value-width-generic layout layer. The paper's
+// traffic argument — SpGEMM is bandwidth-bound, so bytes-per-tuple is the
+// lever — does not stop at the 12-byte squeezed layout: a Boolean/structural
+// product never reads its values (4-byte key-only tuples), and float32/int32
+// workloads need only half the value plane (8-byte tuples of a 4-byte key and a 4-byte value). Each
 // tuple layout is a layoutOps implementation; the engine holds exactly one
 // per run (e.lay) and every phase dispatches element accesses through it
 // while all control flow — bin geometry, panel tiling, the work-stealing
 // sort scheduler, the budgeted merge plan — stays layout-independent, which
 // is what makes the four layouts bit-identical in structure.
 //
-// The three implementations:
+// The two implementations:
 //
-//   - wideOps: 16-byte []radix.Pair (u64 key + f64 value).
-//   - kv[V]: split key32 + value-plane layouts — kv[float64] is the 12-byte
-//     squeezed layout, kv[float32]/kv[int32] the 8-byte narrow one. Keys
-//     live in the Workspace (shared by every key32 layout); only the value
-//     planes are V-typed.
-//   - patternOps: bare []uint32 keys, 4 bytes per tuple; the fold is
+//   - kv[K, V]: a key plane plus a parallel value plane. kv[uint32, float64]
+//     is the 12-byte squeezed layout, kv[uint32, float32|int32] the 8-byte
+//     narrow one and kv[uint64, float64] the 16-byte wide one — the same
+//     (key, value) tuple with an 8-byte key, for geometries whose packed key
+//     needs more than 32 bits. Key planes live in the Workspace, shared by
+//     every layout of one key width (keyPlanes); only the value planes are
+//     V-typed.
+//   - patternOps: bare uint32 keys, 4 bytes per tuple; the fold is
 //     deduplication and the result CSR carries no Val array.
 //
-// wideOps and patternOps are zero-size: storing them in the e.lay interface
-// allocates nothing (the runtime's zerobase). kv values are reached by
-// pointer (&ws.kvF64, or the pooled *kv[V] in ws.kvNarrow), so rebinding
-// e.lay per call is allocation-free too.
+// Phases that read only keys (row tallies, the fused merge's counting walk)
+// go through e.keys, the active key width's keyPlanes, instead of through
+// the layout. patternOps is zero-size and the kv and keyPlanes values are
+// reached by pointer into the Workspace, so rebinding e.lay and e.keys per
+// call allocates nothing.
 
 // Value is the set of element types a value-carrying tuple layout can move:
 // the float64 of the 12-byte squeezed layout plus the 4-byte types of the
@@ -61,8 +64,7 @@ type layoutOps interface {
 	growTuples(e *engine, n int64)
 	// growLocals sizes the flattened threads×nbins×capT local bins.
 	growLocals(e *engine, n int64)
-	// resetRuns truncates the layout's value run arena (the shared key/pair
-	// arenas are reset by the engine).
+	// resetRuns truncates the layout's run arena (keys and values).
 	resetRuns(e *engine)
 	// expandRange is one worker's outer-product expansion with propagation
 	// blocking over panel columns [lo+colBounds[t], lo+colBounds[t+1]).
@@ -71,8 +73,8 @@ type layoutOps interface {
 	// total tuples (threads × engine.scratchStride).
 	growScratch(e *engine, total int64)
 	// sortSeg sorts tuples [s.start, s.end) on worker s.worker's scratch;
-	// s.arg < 0 means a whole bin, otherwise the remaining key bits / byte
-	// index to recurse at.
+	// s.arg < 0 means a whole bin, otherwise the remaining key bits to
+	// recurse at.
 	sortSeg(e *engine, s sortSeg)
 	// partitionTop runs the sort's first splitting pass over [lo, hi) on the
 	// given worker's scratch, filling bounds (len ≥
@@ -110,44 +112,135 @@ type layoutOps interface {
 	touchRange(e *engine, lo, hi int64)
 }
 
-// growVals is the grow-only sizing helper of the generic value planes, the V
-// counterpart of matrix.GrowFloat64.
-func growVals[V Value](buf *[]V, n int64) []V {
-	if int64(cap(*buf)) < n {
-		*buf = make([]V, n)
+// keyPlanes pools the key planes of one key width. Every layout of that
+// width shares them — Workspace.keys32 serves the squeezed, narrow and
+// pattern layouts, Workspace.keys64 the wide one — and a run grows only the
+// planes of the width it picked.
+type keyPlanes[K radix.Key] struct {
+	tuple   []K // expanded tuples of the current panel
+	local   []K // propagation-blocking local bins, threads × nbins × capT
+	run     []K // budgeted path: compressed per-(panel, bin) runs
+	merged  []K // budgeted path: per-bin merged output
+	scratch []K // sort ping-pong scratch, threads × engine.scratchStride
+}
+
+// keyOps is the engine's view of the active key width: the phases that read
+// only keys dispatch through it rather than branching on the width.
+// bindLayout installs &ws.keys32 or &ws.keys64.
+type keyOps interface {
+	// runLen is the current length of the run arena.
+	runLen() int64
+	// tallyRows adds the per-row output counts of the folded tuples at
+	// [src, src+n) of bin into rowCounts.
+	tallyRows(e *engine, src, n int64, rowCounts []int64, bin int)
+	// countMergeBin is the fused merge's counting walk (fused.go).
+	countMergeBin(e *engine, worker, bin int)
+}
+
+func (kp *keyPlanes[K]) runLen() int64 { return int64(len(kp.run)) }
+
+func (kp *keyPlanes[K]) tallyRows(e *engine, src, n int64, rowCounts []int64, bin int) {
+	tallyKeys(e, kp.tuple[src:src+n], rowCounts, bin)
+}
+
+// tallyKeys adds one output count per key to its row's rowCounts slot (the
+// slot after the row, ready for the prefix sum). Rows of a bin are touched by
+// no other bin, so writing the shared slice without synchronization is safe.
+func tallyKeys[K radix.Key](e *engine, keys []K, rowCounts []int64, bin int) {
+	firstRow := int32(int64(bin) << e.rowShift)
+	cb := e.colBits
+	for _, k := range keys {
+		rowCounts[firstRow+int32(k>>cb)+1]++
 	}
-	*buf = (*buf)[:n]
-	return *buf
+}
+
+// runGroup returns the ids of bin's runs in panel order.
+func (e *engine) runGroup(bin int) []int32 {
+	return e.ws.runIdx[e.ws.runIdxStart[bin]:e.ws.runIdxStart[bin+1]]
+}
+
+// mergeHeads seeds the worker's k-way merge cursors at the starts of
+// group's runs.
+func (e *engine) mergeHeads(worker int, group []int32) []int64 {
+	heads := e.ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+len(group)]
+	for i, r := range group {
+		heads[i] = e.ws.runStart[r]
+	}
+	return heads
+}
+
+// minHead is the k-way merge's select-min over runs that are each sorted and
+// duplicate-free: it returns the position in group of the run whose head key
+// is smallest — the earliest run on ties, so equal keys fold in panel order —
+// and that key, or -1 once every run is exhausted. The scan is linear in
+// k ≤ npanels; bins are L2-sized, so the merge stays in cache.
+func minHead[K radix.Key](runKeys []K, runStart []int64, group []int32, heads []int64) (int, K) {
+	best := -1
+	var bestKey K
+	for i, r := range group {
+		h := heads[i]
+		if h == runStart[r+1] {
+			continue // run exhausted
+		}
+		if key := runKeys[h]; best < 0 || key < bestKey {
+			best, bestKey = i, key
+		}
+	}
+	return best, bestKey
+}
+
+// workerSlice returns worker w's private n-long slice of a sort scratch
+// plane (flattened threads × engine.scratchStride).
+func workerSlice[T any](plane []T, e *engine, w int, n int64) []T {
+	off := int64(w) * e.scratchStride
+	return plane[off : off+n]
 }
 
 // kvOf returns the workspace's pooled narrow layout state for value type V,
 // creating it on first use. The slot holds one V at a time: alternating
 // value types across calls on one workspace reallocates, a stable one reuses.
-func kvOf[V Value32](ws *Workspace) *kv[V] {
-	if l, ok := ws.kvNarrow.(*kv[V]); ok {
+func kvOf[V Value32](ws *Workspace) *kv[uint32, V] {
+	if l, ok := ws.kvNarrow.(*kv[uint32, V]); ok {
 		return l
 	}
-	l := &kv[V]{}
+	l := &kv[uint32, V]{}
 	ws.kvNarrow = l
 	return l
 }
 
-// bindLayout installs e.lay for the layout planBins chose. The narrow entry
-// pre-binds its typed kv[V] (carrying the caller's value planes); everything
-// else resolves here.
+// bindKV binds a kv layout to its key planes and the call's input value
+// planes.
+func bindKV[K radix.Key, V Value](l *kv[K, V], kp *keyPlanes[K], aVal, bVal []V) *kv[K, V] {
+	l.keys, l.aVal, l.bVal = kp, aVal, bVal
+	return l
+}
+
+// bindLayout installs e.lay and e.keys for the layout planBins chose. The
+// narrow entry pre-binds its typed kv (carrying the caller's value planes);
+// everything else resolves here.
 func (e *engine) bindLayout() {
+	ws := e.ws
 	switch e.layout {
 	case LayoutSqueezed:
-		l := &e.ws.kvF64
-		l.aVal, l.bVal = e.a.Val, e.b.Val
-		e.lay = l
+		e.lay = bindKV(&ws.kvF64, &ws.keys32, e.a.Val, e.b.Val)
+	case LayoutWide:
+		e.lay = bindKV(&ws.kvWide, &ws.keys64, e.a.Val, e.b.Val)
 	case LayoutPattern:
 		e.lay = patternOps{}
 	case LayoutNarrow:
-		// MultiplyNarrow bound e.lay = kvOf[V](ws) before run().
-	default:
-		e.lay = wideOps{}
+		// MultiplyNarrow bound e.lay before run().
 	}
+	e.keys = &ws.keys32
+	if e.layout == LayoutWide {
+		e.keys = &ws.keys64
+	}
+}
+
+// dropInputs clears the float64 layouts' input bindings so a pooled
+// workspace does not pin caller memory.
+func (ws *Workspace) dropInputs() {
+	ws.kvF64.aVal, ws.kvF64.bVal = nil, nil
+	ws.kvWide.aVal, ws.kvWide.bVal = nil, nil
 }
 
 // MultiplyPattern computes the structural (pattern-only) product of A and B:
@@ -168,7 +261,7 @@ func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *S
 }
 
 // MultiplyNarrow computes C = A*B over 4-byte values (float32 or int32) with
-// the 8-byte key32+val32 tuple layout. The inputs are the structural CSC/CSR
+// the 8-byte layout (a 4-byte key plus a 4-byte value). The inputs are the structural CSC/CSR
 // (whose float64 Val arrays are never read and may be nil) plus parallel
 // value planes indexed like a.RowIdx and b.ColIdx; the result is the
 // structural CSR (nil Val) plus its value plane, aliasing workspace memory
@@ -184,8 +277,7 @@ func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	l := kvOf[V](e.ws)
-	l.aVal, l.bVal = aVal, bVal
+	l := bindKV(kvOf[V](e.ws), &e.ws.keys32, aVal, bVal)
 	e.lay = l
 	c, st, err := e.runContained()
 	vals := l.out
@@ -197,92 +289,13 @@ func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V,
 }
 
 // ---------------------------------------------------------------------------
-// wideOps: the 16-byte []radix.Pair layout.
+// kv[K, V]: a key plane plus a V value plane (squeezed, narrow and wide).
 
-type wideOps struct{}
+// kv holds one layout's value planes, pooled grow-only, and a pointer to
+// the Workspace's key planes of its key width K.
+type kv[K radix.Key, V Value] struct {
+	keys *keyPlanes[K]
 
-func (wideOps) growTuples(e *engine, n int64) { radix.GrowPairs(&e.ws.tuples, n) }
-func (wideOps) growLocals(e *engine, n int64) { radix.GrowPairs(&e.ws.locals, n) }
-func (wideOps) resetRuns(e *engine)           {}
-
-func (wideOps) expandRange(e *engine, t, lo int, cursors []int64) {
-	e.expandRangeWide(t, lo, cursors)
-}
-
-func (wideOps) growScratch(e *engine, total int64) {
-	radix.GrowPairs(&e.ws.scratchPairs, total)
-}
-
-// scratchPairs returns worker w's private slice of the pair scratch plane,
-// at least n long.
-func (e *engine) scratchPairsFor(w int, n int64) []radix.Pair {
-	off := int64(w) * e.scratchStride
-	return e.ws.scratchPairs[off : off+n]
-}
-
-func (wideOps) sortSeg(e *engine, s sortSeg) {
-	ps := e.ws.tuples[s.start:s.end]
-	aux := e.scratchPairsFor(s.worker, s.end-s.start)
-	if s.arg < 0 {
-		radix.SortPairsStable(ps, aux, e.batch)
-	} else {
-		radix.SortPairsAtByteStable(ps, aux, s.arg, e.batch)
-	}
-}
-
-func (wideOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	return radix.PartitionPairsScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), bounds, e.batch)
-}
-
-func (wideOps) fuseBin(e *engine, worker int, lo, hi int64) int64 {
-	return radix.SortPairsFusedScratch(e.ws.tuples[lo:hi], e.scratchPairsFor(worker, hi-lo), e.batch)
-}
-
-func (wideOps) compressBin(e *engine, lo, hi int64) int64 {
-	return compressBinWide(e.ws.tuples[lo:hi])
-}
-
-func (wideOps) appendRun(e *engine, src, n int64) {
-	e.ws.runs = append(e.ws.runs, e.ws.tuples[src:src+n]...)
-}
-
-func (wideOps) growMerged(e *engine, n int64) { radix.GrowPairs(&e.ws.merged, n) }
-
-func (wideOps) mergeBin(e *engine, worker, bin int) { e.mergeBinWide(worker, bin) }
-
-func (wideOps) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	e.emitMergeBinWide(c, binOutStart, worker, bin)
-}
-
-func (wideOps) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
-	src := e.ws.tuples
-	if merged {
-		src = e.ws.merged
-	}
-	colMask := uint64(1)<<e.colBits - 1
-	for j := int64(0); j < n; j++ {
-		c.ColIdx[dstOff+j] = int32(src[srcOff+j].Key & colMask)
-		c.Val[dstOff+j] = src[srcOff+j].Val
-	}
-}
-
-func (wideOps) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	if e.shared {
-		c.Val = matrix.GrowFloat64(&e.ws.outVal, nnzc)
-	} else {
-		c.Val = make([]float64, nnzc)
-	}
-}
-
-func (wideOps) touchRange(e *engine, lo, hi int64) { touchPages(e.ws.tuples[lo:hi]) }
-
-// ---------------------------------------------------------------------------
-// kv[V]: the split key32 + V value-plane layouts (squeezed f64, narrow f32/i32).
-
-// kv holds one value type's planes of the split layout. Keys are shared
-// across all key32 layouts and live in the Workspace; these are only the
-// V-typed halves, pooled grow-only exactly like their float64 ancestors.
-type kv[V Value] struct {
 	tupleVals   []V
 	localVals   []V
 	runVals     []V
@@ -298,49 +311,49 @@ type kv[V Value] struct {
 }
 
 // tupleCapBytes reports the value plane's pooled capacity; Workspace
-// .TupleCapBytes adds it to the shared key arena's.
-func (l *kv[V]) tupleCapBytes() int64 {
+// .TupleCapBytes adds it to the shared key planes'.
+func (l *kv[K, V]) tupleCapBytes() int64 {
 	var v V
 	return int64(cap(l.tupleVals)) * int64(unsafe.Sizeof(v))
 }
 
-func (l *kv[V]) growTuples(e *engine, n int64) {
-	radix.GrowUint32(&e.ws.tupleKeys, n)
-	growVals(&l.tupleVals, n)
+func (l *kv[K, V]) growTuples(e *engine, n int64) {
+	radix.Grow(&l.keys.tuple, n)
+	radix.Grow(&l.tupleVals, n)
 }
 
-func (l *kv[V]) growLocals(e *engine, n int64) {
-	radix.GrowUint32(&e.ws.localKeys, n)
-	growVals(&l.localVals, n)
+func (l *kv[K, V]) growLocals(e *engine, n int64) {
+	radix.Grow(&l.keys.local, n)
+	radix.Grow(&l.localVals, n)
 }
 
-func (l *kv[V]) resetRuns(e *engine) { l.runVals = l.runVals[:0] }
-
-func (l *kv[V]) growScratch(e *engine, total int64) {
-	radix.GrowUint32(&e.ws.scratchKeys, total)
-	growVals(&l.scratchVals, total)
+func (l *kv[K, V]) resetRuns(e *engine) {
+	l.keys.run = l.keys.run[:0]
+	l.runVals = l.runVals[:0]
 }
 
-// scratchKeysFor returns worker w's private slice of the shared key scratch
-// plane, at least n long.
-func (e *engine) scratchKeysFor(w int, n int64) []uint32 {
-	off := int64(w) * e.scratchStride
-	return e.ws.scratchKeys[off : off+n]
+func (l *kv[K, V]) growScratch(e *engine, total int64) {
+	radix.Grow(&l.keys.scratch, total)
+	radix.Grow(&l.scratchVals, total)
 }
 
-// expandRange mirrors expandRangeWide: same column walk, same propagation
-// blocking, writing the 4-byte key and the V value into split local bins and
-// flushing each with two bulk copies into the worker's exclusive range.
-func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
+// expandRange is one worker's share of expandPanel: the panel columns
+// [lo+colBounds[t], lo+colBounds[t+1]). cursors is the worker's private
+// per-bin write-position array, pre-seeded with its exclusive offsets. Each
+// outer-product tuple's packed key and value go into the thread-private
+// local bin of its row's global bin (propagation blocking), and a full local
+// bin flushes with one bulk copy per plane into the worker's exclusive
+// range.
+func (l *kv[K, V]) expandRange(e *engine, t, lo int, cursors []int64) {
 	a, b := e.a, e.b
 	nbins := int32(e.nbins)
 	capT := e.localCap
 	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
 	stride := int64(e.nbins) * int64(capT)
-	bufK := e.ws.localKeys[int64(t)*stride : int64(t+1)*stride]
+	bufK := l.keys.local[int64(t)*stride : int64(t+1)*stride]
 	bufV := l.localVals[int64(t)*stride : int64(t+1)*stride]
 	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
-	keys, vals := e.ws.tupleKeys, l.tupleVals
+	keys, vals := l.keys.tuple, l.tupleVals
 	aVal, bVal := l.aVal, l.bVal
 	batch := e.batch
 	nt := e.ntFlush
@@ -351,8 +364,9 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 		if bLo == bHi {
 			continue
 		}
-		// Per-column cancellation poll, matching expandRangeWide: check every
-		// ~cancelPollTuples expanded tuples, never inside the batched kernels.
+		// Sub-phase cancellation: poll every ~cancelPollTuples expanded
+		// tuples. The counter costs two scalar ops per column — off the
+		// batched inner loops, invisible to the bench gate.
 		if faultinject.Enabled {
 			faultinject.Fire(faultinject.SiteExpandColumn, t)
 		}
@@ -367,7 +381,7 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 			r := uint32(a.RowIdx[p])
 			av := aVal[p]
 			bin := int32(r >> shift)
-			localRow := (r & mask) << colBits
+			localRow := K(r&mask) << colBits
 			base := int64(bin) * int64(capT)
 			ln := lens[bin]
 			// Batched expansion: fill the local bin in runs of
@@ -398,18 +412,22 @@ func (l *kv[V]) expandRange(e *engine, t, lo int, cursors []int64) {
 			lens[bin] = ln
 		}
 	}
+	// Drain partially-filled local bins (Algorithm 2 lines 15–18).
 	for bin := int32(0); bin < nbins; bin++ {
 		flushLocalKV(bin, bufK, bufV, lens, keys, vals, cursors, capT, nt)
 	}
 }
 
-// flushLocalKV bulk-copies one split local bin into the worker's pre-reserved
-// range of the global bin and advances its private cursor. When nt is set
-// (batched build, panel arena beyond LLC — see expandPanel) it streams both
-// planes past the cache with non-temporal stores; otherwise it keeps copy()
-// plus a prefetch of this bin's next destination.
-func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
-	keys []uint32, vals []V, cursors []int64, capT int32, nt bool) {
+// flushLocalKV bulk-copies one local bin into the worker's pre-reserved
+// range of the global bin (the paper's MemCopy) and advances its private
+// cursor. When nt is set (batched build, panel arena beyond LLC — see
+// expandPanel) it streams both planes past the cache with non-temporal
+// stores: the flush destination is cold, and a plain store would pay a
+// read-for-ownership for every line; expandPanel fences each worker after
+// its last flush. Otherwise it keeps copy() plus a prefetch of this bin's
+// next destination.
+func flushLocalKV[K radix.Key, V Value](bin int32, bufK []K, bufV []V, lens []int32,
+	keys []K, vals []V, cursors []int64, capT int32, nt bool) {
 
 	n := lens[bin]
 	if n == 0 {
@@ -419,10 +437,11 @@ func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
 	next := off + int64(n)
 	cursors[bin] = next
 	base := int64(bin) * int64(capT)
+	var k K
+	var v V
+	kb, vb := int(unsafe.Sizeof(k)), int(unsafe.Sizeof(v))
 	if nt && simd.HasNT {
-		var v V
-		vb := int(unsafe.Sizeof(v))
-		simd.NTCopyBytes(unsafe.Pointer(&keys[off]), unsafe.Pointer(&bufK[base]), int(n)*4)
+		simd.NTCopyBytes(unsafe.Pointer(&keys[off]), unsafe.Pointer(&bufK[base]), int(n)*kb)
 		simd.NTCopyBytes(unsafe.Pointer(&vals[off]), unsafe.Pointer(&bufV[base]), int(n)*vb)
 		lens[bin] = 0
 		return
@@ -435,45 +454,42 @@ func flushLocalKV[V Value](bin int32, bufK []uint32, bufV []V, lens []int32,
 	// to beat the hardware prefetcher across the bin-strided global arena.
 	// No-op on purego/non-amd64 builds; cannot affect results.
 	if end := next + int64(n); end <= int64(len(keys)) {
-		simd.PrefetchRangeT0(unsafe.Pointer(&keys[next]), int(n)*4)
+		simd.PrefetchRangeT0(unsafe.Pointer(&keys[next]), int(n)*kb)
 	}
 }
 
-func (l *kv[V]) sortSeg(e *engine, s sortSeg) {
-	keys := e.ws.tupleKeys[s.start:s.end]
+// scratchFor returns worker w's private n-long slices of the sort scratch
+// planes.
+func (l *kv[K, V]) scratchFor(e *engine, w int, n int64) ([]K, []V) {
+	return workerSlice(l.keys.scratch, e, w, n), workerSlice(l.scratchVals, e, w, n)
+}
+
+func (l *kv[K, V]) sortSeg(e *engine, s sortSeg) {
+	keys := l.keys.tuple[s.start:s.end]
 	vals := l.tupleVals[s.start:s.end]
-	n := s.end - s.start
-	auxK := e.scratchKeysFor(s.worker, n)
-	auxV := l.scratchValsFor(e, s.worker, n)
+	auxK, auxV := l.scratchFor(e, s.worker, s.end-s.start)
 	if s.arg < 0 {
-		radix.SortKeys32Scratch(keys, vals, auxK, auxV, e.batch)
+		radix.SortScratch(keys, vals, auxK, auxV, e.batch)
 	} else {
-		radix.SortKeys32BitsScratch(keys, vals, auxK, auxV, s.arg, e.batch)
+		radix.SortBitsScratch(keys, vals, auxK, auxV, s.arg, e.batch)
 	}
 }
 
-func (l *kv[V]) scratchValsFor(e *engine, w int, n int64) []V {
-	off := int64(w) * e.scratchStride
-	return l.scratchVals[off : off+n]
+func (l *kv[K, V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
+	auxK, auxV := l.scratchFor(e, worker, hi-lo)
+	return radix.PartitionTopScratch(l.keys.tuple[lo:hi], l.tupleVals[lo:hi], auxK, auxV, bounds, e.batch)
 }
 
-func (l *kv[V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	n := hi - lo
-	return radix.PartitionTop32Scratch(e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi],
-		e.scratchKeysFor(worker, n), l.scratchValsFor(e, worker, n), bounds, e.batch)
+func (l *kv[K, V]) fuseBin(e *engine, worker int, lo, hi int64) int64 {
+	auxK, auxV := l.scratchFor(e, worker, hi-lo)
+	return radix.SortFusedScratch(l.keys.tuple[lo:hi], l.tupleVals[lo:hi], auxK, auxV, e.batch)
 }
 
-func (l *kv[V]) fuseBin(e *engine, worker int, lo, hi int64) int64 {
-	n := hi - lo
-	return radix.SortKeys32FusedScratch(e.ws.tupleKeys[lo:hi], l.tupleVals[lo:hi],
-		e.scratchKeysFor(worker, n), l.scratchValsFor(e, worker, n), e.batch)
-}
-
-// compressBin is the paper's two-pointer in-place merge over the split
-// layout: p1 walks the sorted tuples, p2 tracks the write position; equal
-// keys fold their values into the tuple at p2.
-func (l *kv[V]) compressBin(e *engine, lo, hi int64) int64 {
-	keys := e.ws.tupleKeys[lo:hi]
+// compressBin is the paper's two-pointer in-place merge (Section III-E): p1
+// walks the sorted tuples, p2 tracks the write position; equal keys fold
+// their values into the tuple at p2. Row tallies live in keyOps.tallyRows.
+func (l *kv[K, V]) compressBin(e *engine, lo, hi int64) int64 {
+	keys := l.keys.tuple[lo:hi]
 	vals := l.tupleVals[lo:hi]
 	if len(keys) == 0 {
 		return 0
@@ -491,134 +507,102 @@ func (l *kv[V]) compressBin(e *engine, lo, hi int64) int64 {
 	return int64(p2 + 1)
 }
 
-func (l *kv[V]) appendRun(e *engine, src, n int64) {
-	e.ws.runKeys = append(e.ws.runKeys, e.ws.tupleKeys[src:src+n]...)
+func (l *kv[K, V]) appendRun(e *engine, src, n int64) {
+	l.keys.run = append(l.keys.run, l.keys.tuple[src:src+n]...)
 	l.runVals = append(l.runVals, l.tupleVals[src:src+n]...)
 }
 
-func (l *kv[V]) growMerged(e *engine, n int64) {
-	radix.GrowUint32(&e.ws.mergedKeys, n)
-	growVals(&l.mergedVals, n)
+func (l *kv[K, V]) growMerged(e *engine, n int64) {
+	radix.Grow(&l.keys.merged, n)
+	radix.Grow(&l.mergedVals, n)
 }
 
-// mergeBin is mergeBinWide over the split run arena; see mergeBinWide for
-// the merge invariants (runs individually duplicate-free, compare against
-// the last written tuple).
-func (l *kv[V]) mergeBin(e *engine, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
+// mergeBin merges one bin's sorted, duplicate-free runs into the merged
+// buffer. Runs individually have unique keys, so a duplicate can only pair
+// tuples from different panels and the output stays ascending: comparing
+// against the last written tuple is a complete folding rule.
+func (l *kv[K, V]) mergeBin(e *engine, worker, bin int) {
+	ws, kp := e.ws, l.keys
+	group := e.runGroup(bin)
 	dstBase := ws.mergedStart[bin]
 	dst := dstBase
-
-	switch k {
+	switch len(group) {
 	case 0:
-		ws.binOut[bin] = 0
-		return
 	case 1:
 		r := group[0]
-		n := ws.runStart[r+1] - ws.runStart[r]
-		copy(ws.mergedKeys[dst:dst+n], ws.runKeys[ws.runStart[r]:ws.runStart[r+1]])
-		copy(l.mergedVals[dst:dst+n], l.runVals[ws.runStart[r]:ws.runStart[r+1]])
-		dst += n
+		s, end := ws.runStart[r], ws.runStart[r+1]
+		copy(kp.merged[dst:dst+end-s], kp.run[s:end])
+		copy(l.mergedVals[dst:dst+end-s], l.runVals[s:end])
+		dst += end - s
 	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
+		heads := e.mergeHeads(worker, group)
 		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue // run exhausted
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
+			best, key := minHead(kp.run, ws.runStart, group, heads)
 			if best < 0 {
 				break
 			}
 			h := heads[best]
 			heads[best]++
-			if dst > dstBase && ws.mergedKeys[dst-1] == ws.runKeys[h] {
+			if dst > dstBase && kp.merged[dst-1] == key {
 				l.mergedVals[dst-1] += l.runVals[h]
 			} else {
-				ws.mergedKeys[dst] = ws.runKeys[h]
+				kp.merged[dst] = key
 				l.mergedVals[dst] = l.runVals[h]
 				dst++
 			}
 		}
 	}
 	ws.binOut[bin] = dst - dstBase
-	firstRow := int32(int64(bin) << e.rowShift)
-	for i := dstBase; i < dst; i++ {
-		row := firstRow + int32(ws.mergedKeys[i]>>e.colBits)
-		ws.rowCounts[row+1]++
-	}
+	tallyKeys(e, kp.merged[dstBase:dst], ws.rowCounts, bin)
 }
 
-func (l *kv[V]) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
+// emitMergeBin is the fused merge's emitting walk: mergeBin's walk and fold
+// order, writing column ids and values straight into the result's slot.
+func (l *kv[K, V]) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int) {
+	ws, kp := e.ws, l.keys
+	group := e.runGroup(bin)
 	dst := binOutStart[bin]
-	cm := uint32(uint64(1)<<e.colBits - 1)
+	cm := K(1)<<e.colBits - 1
 	out := l.out
-	switch k {
+	switch len(group) {
 	case 0:
 	case 1:
 		r := group[0]
 		s := ws.runStart[r]
 		n := ws.runStart[r+1] - s
 		for j := int64(0); j < n; j++ {
-			c.ColIdx[dst+j] = int32(ws.runKeys[s+j] & cm)
+			c.ColIdx[dst+j] = int32(kp.run[s+j] & cm)
 			out[dst+j] = l.runVals[s+j]
 		}
 	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
+		heads := e.mergeHeads(worker, group)
 		var emitted int64
-		var last uint32
+		var last K
 		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
+			best, key := minHead(kp.run, ws.runStart, group, heads)
 			if best < 0 {
 				break
 			}
 			v := l.runVals[heads[best]]
 			heads[best]++
-			if emitted > 0 && bestKey == last {
+			if emitted > 0 && key == last {
 				out[dst+emitted-1] += v
 			} else {
-				c.ColIdx[dst+emitted] = int32(bestKey & cm)
+				c.ColIdx[dst+emitted] = int32(key & cm)
 				out[dst+emitted] = v
 				emitted++
-				last = bestKey
+				last = key
 			}
 		}
 	}
 }
 
-func (l *kv[V]) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
-	keys, vals := e.ws.tupleKeys, l.tupleVals
+func (l *kv[K, V]) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
+	keys, vals := l.keys.tuple, l.tupleVals
 	if merged {
-		keys, vals = e.ws.mergedKeys, l.mergedVals
+		keys, vals = l.keys.merged, l.mergedVals
 	}
-	cm := uint32(uint64(1)<<e.colBits - 1)
+	cm := K(1)<<e.colBits - 1
 	out := l.out
 	for j := int64(0); j < n; j++ {
 		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
@@ -626,16 +610,16 @@ func (l *kv[V]) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff,
 	}
 }
 
-func (l *kv[V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
+func (l *kv[K, V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	if e.shared {
-		l.out = growVals(&l.outVal, nnzc)
+		l.out = radix.Grow(&l.outVal, nnzc)
 	} else {
 		l.out = make([]V, nnzc)
 	}
 }
 
-func (l *kv[V]) touchRange(e *engine, lo, hi int64) {
-	touchPages(e.ws.tupleKeys[lo:hi])
+func (l *kv[K, V]) touchRange(e *engine, lo, hi int64) {
+	touchPages(l.keys.tuple[lo:hi])
 	touchPages(l.tupleVals[lo:hi])
 }
 
@@ -644,9 +628,9 @@ func (l *kv[V]) touchRange(e *engine, lo, hi int64) {
 
 type patternOps struct{}
 
-func (patternOps) growTuples(e *engine, n int64) { radix.GrowUint32(&e.ws.tupleKeys, n) }
-func (patternOps) growLocals(e *engine, n int64) { radix.GrowUint32(&e.ws.localKeys, n) }
-func (patternOps) resetRuns(e *engine)           {}
+func (patternOps) growTuples(e *engine, n int64) { radix.Grow(&e.ws.keys32.tuple, n) }
+func (patternOps) growLocals(e *engine, n int64) { radix.Grow(&e.ws.keys32.local, n) }
+func (patternOps) resetRuns(e *engine)           { e.ws.keys32.run = e.ws.keys32.run[:0] }
 
 // expandRange is the key-only expansion: same walk, no value multiply — the
 // tuple IS its packed key, and a flush moves one plane.
@@ -656,9 +640,9 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 	capT := e.localCap
 	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
 	stride := int64(e.nbins) * int64(capT)
-	bufK := e.ws.localKeys[int64(t)*stride : int64(t+1)*stride]
+	bufK := e.ws.keys32.local[int64(t)*stride : int64(t+1)*stride]
 	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
-	keys := e.ws.tupleKeys
+	keys := e.ws.keys32.tuple
 	batch := e.batch
 	nt := e.ntFlush
 
@@ -668,7 +652,7 @@ func (patternOps) expandRange(e *engine, t, lo int, cursors []int64) {
 		if bLo == bHi {
 			continue
 		}
-		// Per-column cancellation poll, matching expandRangeWide.
+		// Per-column cancellation poll, matching kv.expandRange.
 		if faultinject.Enabled {
 			faultinject.Fire(faultinject.SiteExpandColumn, t)
 		}
@@ -738,12 +722,12 @@ func flushLocalPattern(bin int32, bufK []uint32, lens []int32,
 }
 
 func (patternOps) growScratch(e *engine, total int64) {
-	radix.GrowUint32(&e.ws.scratchKeys, total)
+	radix.Grow(&e.ws.keys32.scratch, total)
 }
 
 func (patternOps) sortSeg(e *engine, s sortSeg) {
-	keys := e.ws.tupleKeys[s.start:s.end]
-	aux := e.scratchKeysFor(s.worker, s.end-s.start)
+	keys := e.ws.keys32.tuple[s.start:s.end]
+	aux := workerSlice(e.ws.keys32.scratch, e, s.worker, s.end-s.start)
 	if s.arg < 0 {
 		radix.SortKeys32PatternScratch(keys, aux, e.batch)
 	} else {
@@ -752,19 +736,19 @@ func (patternOps) sortSeg(e *engine, s sortSeg) {
 }
 
 func (patternOps) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	return radix.PartitionTop32PatternScratch(e.ws.tupleKeys[lo:hi],
-		e.scratchKeysFor(worker, hi-lo), bounds, e.batch)
+	return radix.PartitionTop32PatternScratch(e.ws.keys32.tuple[lo:hi],
+		workerSlice(e.ws.keys32.scratch, e, worker, hi-lo), bounds, e.batch)
 }
 
 func (patternOps) fuseBin(e *engine, worker int, lo, hi int64) int64 {
-	return radix.SortKeys32FusedPatternScratch(e.ws.tupleKeys[lo:hi],
-		e.scratchKeysFor(worker, hi-lo), e.batch)
+	return radix.SortKeys32FusedPatternScratch(e.ws.keys32.tuple[lo:hi],
+		workerSlice(e.ws.keys32.scratch, e, worker, hi-lo), e.batch)
 }
 
 // compressBin's fold over the pattern layout is deduplication: equal keys
 // keep one tuple, no value to sum.
 func (patternOps) compressBin(e *engine, lo, hi int64) int64 {
-	keys := e.ws.tupleKeys[lo:hi]
+	keys := e.ws.keys32.tuple[lo:hi]
 	if len(keys) == 0 {
 		return 0
 	}
@@ -780,117 +764,82 @@ func (patternOps) compressBin(e *engine, lo, hi int64) int64 {
 }
 
 func (patternOps) appendRun(e *engine, src, n int64) {
-	e.ws.runKeys = append(e.ws.runKeys, e.ws.tupleKeys[src:src+n]...)
+	kp := &e.ws.keys32
+	kp.run = append(kp.run, kp.tuple[src:src+n]...)
 }
 
-func (patternOps) growMerged(e *engine, n int64) { radix.GrowUint32(&e.ws.mergedKeys, n) }
+func (patternOps) growMerged(e *engine, n int64) { radix.Grow(&e.ws.keys32.merged, n) }
 
 // mergeBin k-way merges one bin's key-only runs, dropping duplicates.
 func (patternOps) mergeBin(e *engine, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
+	ws, kp := e.ws, &e.ws.keys32
+	group := e.runGroup(bin)
 	dstBase := ws.mergedStart[bin]
 	dst := dstBase
-
-	switch k {
+	switch len(group) {
 	case 0:
-		ws.binOut[bin] = 0
-		return
 	case 1:
 		r := group[0]
-		n := ws.runStart[r+1] - ws.runStart[r]
-		copy(ws.mergedKeys[dst:dst+n], ws.runKeys[ws.runStart[r]:ws.runStart[r+1]])
-		dst += n
+		s, end := ws.runStart[r], ws.runStart[r+1]
+		copy(kp.merged[dst:dst+end-s], kp.run[s:end])
+		dst += end - s
 	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
+		heads := e.mergeHeads(worker, group)
 		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue // run exhausted
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
+			best, key := minHead(kp.run, ws.runStart, group, heads)
 			if best < 0 {
 				break
 			}
-			h := heads[best]
 			heads[best]++
-			if dst > dstBase && ws.mergedKeys[dst-1] == ws.runKeys[h] {
+			if dst > dstBase && kp.merged[dst-1] == key {
 				continue // duplicate key across panels: structural fold
 			}
-			ws.mergedKeys[dst] = ws.runKeys[h]
+			kp.merged[dst] = key
 			dst++
 		}
 	}
 	ws.binOut[bin] = dst - dstBase
-	firstRow := int32(int64(bin) << e.rowShift)
-	for i := dstBase; i < dst; i++ {
-		row := firstRow + int32(ws.mergedKeys[i]>>e.colBits)
-		ws.rowCounts[row+1]++
-	}
+	tallyKeys(e, kp.merged[dstBase:dst], ws.rowCounts, bin)
 }
 
 func (patternOps) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
+	ws, kp := e.ws, &e.ws.keys32
+	group := e.runGroup(bin)
 	dst := binOutStart[bin]
 	cm := uint32(uint64(1)<<e.colBits - 1)
-	switch k {
+	switch len(group) {
 	case 0:
 	case 1:
 		r := group[0]
 		s := ws.runStart[r]
 		n := ws.runStart[r+1] - s
 		for j := int64(0); j < n; j++ {
-			c.ColIdx[dst+j] = int32(ws.runKeys[s+j] & cm)
+			c.ColIdx[dst+j] = int32(kp.run[s+j] & cm)
 		}
 	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
+		heads := e.mergeHeads(worker, group)
 		var emitted int64
 		var last uint32
 		for {
-			best := -1
-			var bestKey uint32
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue
-				}
-				if key := ws.runKeys[h]; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
+			best, key := minHead(kp.run, ws.runStart, group, heads)
 			if best < 0 {
 				break
 			}
 			heads[best]++
-			if emitted > 0 && bestKey == last {
+			if emitted > 0 && key == last {
 				continue
 			}
-			c.ColIdx[dst+emitted] = int32(bestKey & cm)
+			c.ColIdx[dst+emitted] = int32(key & cm)
 			emitted++
-			last = bestKey
+			last = key
 		}
 	}
 }
 
 func (patternOps) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
-	keys := e.ws.tupleKeys
+	keys := e.ws.keys32.tuple
 	if merged {
-		keys = e.ws.mergedKeys
+		keys = e.ws.keys32.merged
 	}
 	cm := uint32(uint64(1)<<e.colBits - 1)
 	for j := int64(0); j < n; j++ {
@@ -902,4 +851,4 @@ func (patternOps) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	// Pattern results are structural: c.Val stays nil by design.
 }
 
-func (patternOps) touchRange(e *engine, lo, hi int64) { touchPages(e.ws.tupleKeys[lo:hi]) }
+func (patternOps) touchRange(e *engine, lo, hi int64) { touchPages(e.ws.keys32.tuple[lo:hi]) }

@@ -59,14 +59,12 @@ func expandSnapshot(t *testing.T, a *matrix.CSC, b *matrix.CSR, opt Options) ([]
 	vals := make([]float64, e.flops)
 	if e.layout == LayoutSqueezed {
 		for i := range keys {
-			keys[i] = uint64(ws.tupleKeys[i])
-			vals[i] = ws.kvF64.tupleVals[i]
+			keys[i] = uint64(ws.keys32.tuple[i])
 		}
+		copy(vals, ws.kvF64.tupleVals)
 	} else {
-		for i := range keys {
-			keys[i] = ws.tuples[i].Key
-			vals[i] = ws.tuples[i].Val
-		}
+		copy(keys, ws.keys64.tuple)
+		copy(vals, ws.kvWide.tupleVals)
 	}
 	return keys, vals
 }
@@ -380,13 +378,12 @@ func BenchmarkSortPhase(b *testing.B) {
 	const n = 64 << 10
 	r := gen.NewRNG(3)
 	keys := make([]uint32, n)
+	keys64 := make([]uint64, n)
 	vals := make([]float64, n)
-	pairs := make([]radix.Pair, n)
 	for i := range keys {
 		k := uint32(r.Intn(1 << 22)) // squeezed-geometry keys
-		keys[i] = k
+		keys[i], keys64[i] = k, uint64(k)
 		vals[i] = r.Float64()
-		pairs[i] = radix.Pair{Key: uint64(k), Val: vals[i]}
 	}
 	b.Run("layout=squeezed", func(b *testing.B) {
 		wk, auxK := make([]uint32, n), make([]uint32, n)
@@ -395,15 +392,17 @@ func BenchmarkSortPhase(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(wk, keys)
 			copy(wv, vals)
-			radix.SortKeys32FusedScratch(wk, wv, auxK, auxV, true)
+			radix.SortFusedScratch(wk, wv, auxK, auxV, true)
 		}
 	})
 	b.Run("layout=wide", func(b *testing.B) {
-		wp, aux := make([]radix.Pair, n), make([]radix.Pair, n)
+		wk, auxK := make([]uint64, n), make([]uint64, n)
+		wv, auxV := make([]float64, n), make([]float64, n)
 		b.SetBytes(n * WideTupleBytes)
 		for i := 0; i < b.N; i++ {
-			copy(wp, pairs)
-			radix.SortPairsFusedScratch(wp, aux, true)
+			copy(wk, keys64)
+			copy(wv, vals)
+			radix.SortFusedScratch(wk, wv, auxK, auxV, true)
 		}
 	})
 }

@@ -29,8 +29,6 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 		faultinject.Fire(faultinject.SiteGrow, -1)
 	}
 	e.lay.growTuples(e, e.maxPanelFlops)
-	ws.runs = ws.runs[:0]
-	ws.runKeys = ws.runKeys[:0]
 	e.lay.resetRuns(e)
 	ws.runStart = ws.runStart[:0]
 	ws.runBins = ws.runBins[:0]
@@ -83,7 +81,7 @@ func (e *engine) runBudgeted() (*matrix.CSR, error) {
 			e.st.Compress += time.Since(t0)
 		}
 	}
-	ws.runStart = append(ws.runStart, e.runLen()) // closing boundary
+	ws.runStart = append(ws.runStart, e.keys.runLen()) // closing boundary
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
@@ -160,14 +158,6 @@ func (e *engine) mergeIntoCSR() (*matrix.CSR, error) {
 	return c, nil
 }
 
-// runLen is the current length of the active layout's run arena.
-func (e *engine) runLen() int64 {
-	if e.key32 {
-		return int64(len(e.ws.runKeys))
-	}
-	return int64(len(e.ws.runs))
-}
-
 // compressPanel folds duplicate keys within each sorted bin segment of the
 // current panel. Row tallies are deferred to the merge (a row's final count
 // is only known once all panels' runs are folded).
@@ -187,7 +177,7 @@ func (e *engine) appendRuns() {
 			continue
 		}
 		ws.runBins = append(ws.runBins, int32(bin))
-		ws.runStart = append(ws.runStart, e.runLen())
+		ws.runStart = append(ws.runStart, e.keys.runLen())
 		e.lay.appendRun(e, ws.binStart[bin], n)
 	}
 }
@@ -270,65 +260,5 @@ func (e *engine) mergeBins() {
 			}
 			e.lay.mergeBin(e, worker, bin)
 		})
-	}
-}
-
-// mergeBinWide merges one bin's sorted, duplicate-free runs (the wide
-// layout; kv and pattern mirror it in layout.go). Runs individually have
-// unique keys, so a duplicate can only pair tuples from different panels and
-// the output stays ascending: comparing against the last written tuple is a
-// complete folding rule. The head scan is linear in the run count k
-// (k ≤ npanels); bins are L2-sized, so the merge stays in cache.
-func (e *engine) mergeBinWide(worker, bin int) {
-	ws := e.ws
-	group := ws.runIdx[ws.runIdxStart[bin]:ws.runIdxStart[bin+1]]
-	k := len(group)
-	dstBase := ws.mergedStart[bin]
-	dst := dstBase
-
-	switch k {
-	case 0:
-		ws.binOut[bin] = 0
-		return
-	case 1:
-		r := group[0]
-		n := ws.runStart[r+1] - ws.runStart[r]
-		copy(ws.merged[dst:dst+n], ws.runs[ws.runStart[r]:ws.runStart[r+1]])
-		dst += n
-	default:
-		heads := ws.heads[worker*e.maxRunsPerBin : worker*e.maxRunsPerBin+k]
-		for i, r := range group {
-			heads[i] = ws.runStart[r]
-		}
-		for {
-			best := -1
-			var bestKey uint64
-			for i, r := range group {
-				h := heads[i]
-				if h == ws.runStart[r+1] {
-					continue // run exhausted
-				}
-				if key := ws.runs[h].Key; best < 0 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best < 0 {
-				break
-			}
-			p := ws.runs[heads[best]]
-			heads[best]++
-			if dst > dstBase && ws.merged[dst-1].Key == p.Key {
-				ws.merged[dst-1].Val += p.Val
-			} else {
-				ws.merged[dst] = p
-				dst++
-			}
-		}
-	}
-	ws.binOut[bin] = dst - dstBase
-	firstRow := int32(int64(bin) << e.rowShift)
-	for i := dstBase; i < dst; i++ {
-		row := firstRow + int32(ws.merged[i].Key>>e.colBits)
-		ws.rowCounts[row+1]++
 	}
 }

@@ -195,7 +195,7 @@ func TestPatternNarrowSteadyStateAllocs(t *testing.T) {
 // geometries whose packed key exceeds 32 bits fail with ErrKeyWidth, and the
 // generic Multiply rejects ForceLayout values it has no value plane for.
 func TestKey32EntryPointErrors(t *testing.T) {
-	// 2^30 columns: colBits = 31, no key32 layout fits.
+	// 2^30 columns: colBits = 31, no uint32-key layout fits.
 	co := &matrix.COO{NumRows: 64, NumCols: 64}
 	bo := &matrix.COO{NumRows: 64, NumCols: 1 << 30}
 	r := gen.NewRNG(5)

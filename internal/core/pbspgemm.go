@@ -17,7 +17,7 @@
 //  3. Sort: each global bin is sorted independently (bins per thread,
 //     dynamic schedule) with a stable MSD radix sort (internal/radix) on
 //     packed keys localRow<<colBits|colid. Because local row ids are small,
-//     high key bytes are zero and the sorter performs the few passes a
+//     high key bits are zero and the sorter performs the few passes a
 //     squeezed 4-byte key would need (Section III-D).
 //  4. Compress: the paper's two-pointer in-place merge sums tuples with
 //     equal keys; a final parallel pass assembles canonical CSR (bins cover
@@ -41,13 +41,11 @@ import (
 	"fmt"
 	"math/bits"
 	"time"
-	"unsafe"
 
 	"pbspgemm/internal/faultinject"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/numa"
 	"pbspgemm/internal/par"
-	"pbspgemm/internal/radix"
 	"pbspgemm/internal/simd"
 )
 
@@ -60,20 +58,23 @@ const DefaultLocalBinBytes = 512
 // on POWER9); 1 MiB is our default.
 const DefaultL2CacheBytes = 1 << 20
 
-// Layout identifies the expanded-tuple representation of a run. The paper's
-// Section III-D key squeezing observes that the packed key localRow<<colBits
-// | col fits 4 bytes whenever localRowBits + colBits ≤ 32; because bins make
-// localRow small, that holds for almost every real matrix, and the engine
-// then stores tuples as parallel arrays (uint32 keys + float64 values, 12
-// bytes per tuple) instead of 16-byte radix.Pairs — cutting the traffic of
-// the two dominant phases by a quarter.
+// Layout identifies the expanded-tuple representation of a run. Every layout
+// stores tuples as a key plane plus (except pattern) a parallel value plane.
+// The paper's Section III-D key squeezing observes that the packed key
+// localRow<<colBits | col fits 4 bytes whenever localRowBits + colBits ≤ 32;
+// because bins make localRow small, that holds for almost every real matrix,
+// and the engine then uses uint32 keys (12 bytes per tuple with float64
+// values) instead of uint64 keys (16 bytes) — cutting the traffic of the two
+// dominant phases by a quarter.
 type Layout int8
 
 const (
 	// LayoutAuto (the zero value) picks per run: squeezed when the key
 	// geometry allows, wide otherwise.
 	LayoutAuto Layout = iota
-	// LayoutWide is the 16-byte AoS layout: []radix.Pair (u64 key + f64 val).
+	// LayoutWide is the 16-byte layout: []uint64 keys + []float64 values. It
+	// runs whenever the packed key needs more than 32 bits (or ForceLayout
+	// asks for it).
 	LayoutWide
 	// LayoutSqueezed is the 12-byte SoA layout: []uint32 keys + []float64
 	// values. Selected automatically when localRowBits + colBits ≤ 32.
@@ -108,7 +109,7 @@ func (l Layout) String() string {
 // Per-tuple byte costs of the layouts — the b of the paper's traffic model
 // (Eq. 4 / Table III), now per run.
 const (
-	// WideTupleBytes is radix.Pair: an 8-byte packed key plus an 8-byte value.
+	// WideTupleBytes is an 8-byte packed key plus an 8-byte value.
 	WideTupleBytes = 16
 	// SqueezedTupleBytes is the parallel-array layout: a 4-byte key plus an
 	// 8-byte value.
@@ -243,11 +244,12 @@ type Stats struct {
 	NPanels int
 	CF      float64
 
-	// Layout is the expanded-tuple layout the run used: LayoutSqueezed
-	// (12-byte u32-key parallel arrays, whenever localRowBits+colBits ≤ 32)
-	// or LayoutWide (16-byte radix.Pairs).
+	// Layout is the expanded-tuple layout the run used: for Multiply,
+	// LayoutSqueezed (uint32 keys + float64 values, 12 bytes, whenever
+	// localRowBits+colBits ≤ 32) or LayoutWide (uint64 keys + float64
+	// values, 16 bytes); MultiplyNarrow and MultiplyPattern report their own.
 	Layout Layout
-	// TupleBytes is the per-tuple byte cost of that layout (12 or 16) — the
+	// TupleBytes is the per-tuple byte cost of that layout (16/12/8/4) — the
 	// b entering the traffic model below.
 	TupleBytes int64
 	// Fused reports whether the run used the fused pipeline (the default;
@@ -337,8 +339,8 @@ type engine struct {
 	colBits       uint
 	want          Layout        // layout the entry point requested (Auto for Multiply)
 	layout        Layout        // concrete layout planBins resolved for this run
-	key32         bool          // layout packs keys into uint32 (everything but wide)
 	lay           layoutOps     // per-layout element accesses (layout.go)
+	keys          keyOps        // the layout's key planes, for key-only phases (layout.go)
 	fused         bool          // fused sort→compress→assemble pipeline (see fused.go)
 	emitMerge     bool          // budgeted fused merge emits into the final CSR (shallow k)
 	tupleBytes    int64         // per-tuple cost of layout (16/12/8/4)
@@ -412,8 +414,8 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, want Layout) (*engine,
 // the references that would let a long-lived workspace pin input matrices.
 func (e *engine) finish(c *matrix.CSR, err error) (*matrix.CSR, *Stats, error) {
 	st := e.st
-	e.a, e.b, e.st, e.lay = nil, nil, nil, nil
-	e.ws.kvF64.aVal, e.ws.kvF64.bVal = nil, nil
+	e.a, e.b, e.st, e.lay, e.keys = nil, nil, nil, nil, nil
+	e.ws.dropInputs()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -619,25 +621,12 @@ func (e *engine) compressOneBin(bin int, binOut, rowCounts []int64) {
 
 // tallyRows adds the per-row output counts of the folded tuples at
 // [src, src+n) into rowCounts (nil skips the tally: the budgeted path counts
-// during the final merge instead). Rows of a bin are touched by no other
-// bin, so writing the shared slice without synchronization is safe. Keys are
-// read from the shared key arena (all key32 layouts) or the wide pairs.
+// during the final merge instead).
 func (e *engine) tallyRows(src, n int64, rowCounts []int64, bin int) {
 	if rowCounts == nil || n == 0 {
 		return
 	}
-	firstRow := int32(int64(bin) << e.rowShift)
-	cb := e.colBits
-	if e.key32 {
-		for _, k := range e.ws.tupleKeys[src : src+n] {
-			rowCounts[firstRow+int32(k>>cb)+1]++
-		}
-	} else {
-		ps := e.ws.tuples[src : src+n]
-		for i := range ps {
-			rowCounts[firstRow+int32(ps[i].Key>>cb)+1]++
-		}
-	}
+	e.keys.tallyRows(e, src, n, rowCounts, bin)
 }
 
 // symbolic implements Algorithm 3's flop count: per-column flops from the
@@ -756,8 +745,8 @@ func (e *engine) planBins() error {
 	e.rowMask = uint32(int64(1)<<g.rowShift - 1)
 
 	// Section III-D key squeezing: the in-bin local row id needs rowShift
-	// bits, so the packed key fits a uint32 — and the tuple any of the split
-	// key32 layouts — whenever rowShift + colBits ≤ 32.
+	// bits, so the packed key fits a uint32 — and the tuple any of the
+	// uint32-key layouts — whenever rowShift + colBits ≤ 32.
 	fits := g.rowShift+e.colBits <= 32
 	switch e.want {
 	case LayoutPattern, LayoutNarrow:
@@ -785,7 +774,6 @@ func (e *engine) planBins() error {
 			return fmt.Errorf("core: ForceLayout %v requires the MultiplyNarrow/MultiplyPattern entry point", e.opt.ForceLayout)
 		}
 	}
-	e.key32 = e.layout != LayoutWide
 	e.tupleBytes = e.layout.TupleBytes()
 
 	capT := int32(int64(e.opt.LocalBinBytes) / e.tupleBytes)
@@ -977,113 +965,10 @@ func (e *engine) fenceFlushes() {
 // a variable (not const) so tests can force the NT path on small inputs.
 var ntMinArenaBytes int64 = 32 << 20
 
-// expandRangeWide is one worker's share of expandPanel over the wide layout:
-// the panel columns [lo+colBounds[t], lo+colBounds[t+1]). cursors is the
-// worker's private per-bin write-position array, pre-seeded with its
-// exclusive offsets. The kv and pattern layouts mirror it in layout.go.
-func (e *engine) expandRangeWide(t, lo int, cursors []int64) {
-	a, b := e.a, e.b
-	nbins := int32(e.nbins)
-	capT := e.localCap
-	shift, mask, colBits := e.rowShift, e.rowMask, e.colBits
-	// Offsets in int64: threads × nbins × capT can exceed int32 range.
-	stride := int64(e.nbins) * int64(capT)
-	buf := e.ws.locals[int64(t)*stride : int64(t+1)*stride]
-	lens := e.ws.localLens[t*e.nbins : (t+1)*e.nbins]
-	tuples := e.ws.tuples
-	batch := e.batch
-	nt := e.ntFlush
-
-	// Sub-phase cancellation: poll every ~cancelPollTuples expanded tuples.
-	// The counter costs two scalar ops per column — off the batched inner
-	// loops, invisible to the bench gate.
-	var sincePoll int64
-	for i := lo + e.ws.colBounds[t]; i < lo+e.ws.colBounds[t+1]; i++ {
-		bLo, bHi := b.RowPtr[i], b.RowPtr[i+1]
-		if bLo == bHi {
-			continue
-		}
-		if faultinject.Enabled {
-			faultinject.Fire(faultinject.SiteExpandColumn, t)
-		}
-		if sincePoll >= cancelPollTuples {
-			sincePoll = 0
-			if e.pollCancel() {
-				return
-			}
-		}
-		sincePoll += int64(bHi-bLo) * (a.ColPtr[i+1] - a.ColPtr[i])
-		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
-			r := uint32(a.RowIdx[p])
-			av := a.Val[p]
-			bin := int32(r >> shift)
-			localRow := uint64(r&mask) << colBits
-			base := int64(bin) * int64(capT)
-			ln := lens[bin]
-			// Batched expansion in chunks of min(room, remaining); chunk
-			// boundaries fall exactly where the per-element loop flushed, so
-			// the global tuple order is unchanged (see kv.expandRange).
-			for q := bLo; q < bHi; {
-				if ln == capT {
-					lens[bin] = ln
-					flushLocalBin(bin, buf, lens, tuples, cursors, capT, nt)
-					ln = 0
-				}
-				take := bHi - q
-				if room := int64(capT - ln); take > room {
-					take = room
-				}
-				dst := buf[base+int64(ln) : base+int64(ln)+take]
-				radix.ExpandPairs(dst, localRow, b.ColIdx[q:q+take], b.Val[q:q+take], av, batch)
-				ln += int32(take)
-				q += take
-			}
-			lens[bin] = ln
-		}
-	}
-	// Drain partially-filled local bins (Algorithm 2 lines 15–18).
-	for bin := int32(0); bin < nbins; bin++ {
-		flushLocalBin(bin, buf, lens, tuples, cursors, capT, nt)
-	}
-}
-
-// flushLocalBin bulk-copies one thread-private local bin into the worker's
-// pre-reserved range of the global bin and advances its private cursor.
-// When nt is set (batched build, panel arena beyond LLC — see expandPanel)
-// the copy streams past the cache with non-temporal stores: the flush
-// destination is cold, and a plain store would pay a read-for-ownership for
-// every line; expandPanel fences each worker after its last flush. Otherwise
-// it keeps copy() plus a prefetch of this bin's next destination.
-func flushLocalBin(bin int32, buf []radix.Pair, lens []int32,
-	tuples []radix.Pair, cursors []int64, capT int32, nt bool) {
-
-	n := lens[bin]
-	if n == 0 {
-		return
-	}
-	off := cursors[bin]
-	next := off + int64(n)
-	cursors[bin] = next
-	base := int64(bin) * int64(capT)
-	if nt && simd.HasNT {
-		simd.NTCopyBytes(unsafe.Pointer(&tuples[off]), unsafe.Pointer(&buf[base]), int(n)*16)
-		lens[bin] = 0
-		return
-	}
-	copy(tuples[off:next], buf[base:base+int64(n)])
-	lens[bin] = 0
-	// Warm this bin's NEXT flush destination while the local bin refills
-	// (no-op on purego/non-amd64 builds; cannot affect results).
-	if end := next + int64(n); end <= int64(len(tuples)) {
-		simd.PrefetchRangeT0(unsafe.Pointer(&tuples[next]), int(n)*16)
-	}
-}
-
 // sortSeg is one unit of sort-phase work: tuples [start, end) of the current
 // panel's buffer. arg < 0 marks a whole bin (the sorter derives its plan
 // from the keys' OR); otherwise the segment is a bucket of a partitioned
-// oversized bin and arg carries the remaining key bits (squeezed layout) or
-// the next byte index (wide layout) to recurse at. The sort phase itself —
+// oversized bin and arg carries the remaining key bits to recurse at. The sort phase itself —
 // fused or not — is scheduled by runSortPhase (fused.go) over a
 // work-stealing queue, so oversized skewed bins are partitioned by whichever
 // worker meets them and their buckets spread across the pool, instead of
@@ -1119,26 +1004,6 @@ func (e *engine) sortSplitCutoff() int64 {
 	// e.tupleBytes is the run's actual layout cost (planBins), never the
 	// layout-independent sizing constant tupleBytes.
 	return sortSplitCutoffTuples(e.tupleBytes, int64(e.opt.L2CacheBytes))
-}
-
-// compressBinWide is the paper's two-pointer in-place merge (Section III-E)
-// over the wide layout: p1 walks the sorted tuples, p2 tracks the write
-// position; equal keys fold their values into the tuple at p2. Row tallies
-// live in engine.tallyRows.
-func compressBinWide(tuples []radix.Pair) int64 {
-	if len(tuples) == 0 {
-		return 0
-	}
-	p2 := 0
-	for p1 := 1; p1 < len(tuples); p1++ {
-		if tuples[p1].Key == tuples[p2].Key {
-			tuples[p2].Val += tuples[p1].Val
-			continue
-		}
-		p2++
-		tuples[p2] = tuples[p1]
-	}
-	return int64(p2 + 1)
 }
 
 // assemble builds canonical CSR from the compressed bins of the active
@@ -1209,10 +1074,13 @@ func (e *engine) newResult(nnzc int64) *matrix.CSR {
 		}
 	}
 	e.lay.growOut(e, c, nnzc)
-	if e.layout == LayoutSqueezed {
-		// kv[float64]'s out plane IS the result's Val: emit/unpack write one
-		// destination and the public float64 contract is unchanged.
+	// The float64 layouts' out plane IS the result's Val: emit/unpack write
+	// one destination and the public float64 contract is unchanged.
+	switch e.layout {
+	case LayoutSqueezed:
 		c.Val = e.ws.kvF64.out
+	case LayoutWide:
+		c.Val = e.ws.kvWide.out
 	}
 	return c
 }

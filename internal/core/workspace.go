@@ -4,7 +4,6 @@ import (
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/numa"
 	"pbspgemm/internal/par"
-	"pbspgemm/internal/radix"
 )
 
 // Workspace pools every buffer the PB-SpGEMM engine needs across calls.
@@ -18,22 +17,18 @@ import (
 // workspace memory and are invalidated by the next call that uses the same
 // workspace; Clone the CSR to keep it.
 type Workspace struct {
-	// tuples is the wide-layout expanded-tuple buffer for one column panel —
-	// the flops×16 byte allocation the unbudgeted single-shot algorithm
-	// makes per call. tupleKeys is the shared key plane of every key32
-	// layout (squeezed, narrow, pattern); the value planes live in the kv
-	// pools below. A run grows only the buffers of the layout it picked.
-	tuples    []radix.Pair
-	tupleKeys []uint32
+	// keys32 and keys64 pool the key planes of each key width — expanded
+	// tuples (the flops×tuple-bytes allocation the unbudgeted single-shot
+	// algorithm makes per call), local bins, runs, merged runs and sort
+	// scratch. keys32 serves the squeezed, narrow and pattern layouts,
+	// keys64 the wide one; the value planes live in the kv pools below. A
+	// run grows only the planes of the layout it picked.
+	keys32 keyPlanes[uint32]
+	keys64 keyPlanes[uint64]
 
-	// Budgeted-path buffers: compressed per-(panel,bin) sorted runs, their
-	// metadata, and the per-bin merged output — per layout, like the tuple
-	// buffer.
-	runs        []radix.Pair
-	runKeys     []uint32
-	merged      []radix.Pair
-	mergedKeys  []uint32
-	runStart    []int64 // run i occupies runs[runStart[i]:runStart[i+1]]
+	// Budgeted-path run metadata (the run and merged planes themselves are
+	// per key width and per layout, like the tuple planes).
+	runStart    []int64 // run i occupies the run planes at [runStart[i], runStart[i+1])
 	runBins     []int32 // global bin of run i
 	runIdx      []int32 // run ids grouped by bin
 	runIdxStart []int32 // group boundaries into runIdx, len nbins+1
@@ -58,18 +53,8 @@ type Workspace struct {
 	binPending  []int32    // split bins' outstanding bucket counts (atomic)
 	partBounds  []int64    // per-worker oversized-bin partition boundaries
 
-	// Propagation-blocking local bins, flattened threads × nbins × capTuples,
-	// per layout.
-	locals    []radix.Pair
-	localKeys []uint32
+	// Fill counts of the propagation-blocking local bins (threads × nbins).
 	localLens []int32
-
-	// Sort-phase ping-pong scratch, flattened threads × maxBinTuples of the
-	// current panel (engine.scratchStride), per layout; each worker's slice
-	// is private, so the stable scatter sorts never contend. Value planes of
-	// the kv layouts live in their kv pools (kv.scratchVals).
-	scratchPairs []radix.Pair
-	scratchKeys  []uint32
 
 	// Sort-phase scheduler state: the pooled steal policy (counters reused
 	// across calls) plus the NUMA worker→node assignment and victim orders,
@@ -81,10 +66,12 @@ type Workspace struct {
 	polMachine *numa.Machine
 	polThreads int
 
-	// kvF64 pools the float64 value planes of the squeezed (12 B) layout;
-	// kvNarrow holds a *kv[V] for the narrow (8 B) layout's most recent
-	// value type V (float32 or int32) — reuse hits while V is stable.
-	kvF64    kv[float64]
+	// kvF64 and kvWide pool the float64 value planes of the squeezed (12 B)
+	// and wide (16 B) layouts; kvNarrow holds a *kv[uint32, V] for the
+	// narrow (8 B) layout's most recent value type V (float32 or int32) —
+	// reuse hits while V is stable.
+	kvF64    kv[uint32, float64]
+	kvWide   kv[uint64, float64]
 	kvNarrow any
 
 	// Pooled result storage (used only for shared workspaces).
@@ -124,18 +111,17 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func (ws *Workspace) Reset() { *ws = Workspace{} }
 
 // TupleCapBytes reports the current capacity of the pooled expanded-tuple
-// buffers in bytes, summed over both layouts' pools: MemoryBudgetBytes
+// planes in bytes, summed over every layout's pools: MemoryBudgetBytes
 // bounds each run's active pool, but a workspace reused across layouts
-// (wide-geometry products mixed with squeezed ones) holds both, and this
+// (wide-geometry products mixed with squeezed ones) holds several, and this
 // reports the memory actually resident.
 func (ws *Workspace) TupleCapBytes() int64 {
-	wide := int64(cap(ws.tuples)) * WideTupleBytes
-	keys := int64(cap(ws.tupleKeys)) * 4
-	vals := ws.kvF64.tupleCapBytes()
+	keys := int64(cap(ws.keys32.tuple))*4 + int64(cap(ws.keys64.tuple))*8
+	vals := ws.kvF64.tupleCapBytes() + ws.kvWide.tupleCapBytes()
 	if n, ok := ws.kvNarrow.(interface{ tupleCapBytes() int64 }); ok {
 		vals += n.tupleCapBytes()
 	}
-	return wide + keys + vals
+	return keys + vals
 }
 
 // CSCOf converts a into the workspace's pooled CSC storage. The result

@@ -1,6 +1,10 @@
 package matrix
 
-import "pbspgemm/internal/radix"
+import (
+	"slices"
+
+	"pbspgemm/internal/radix"
+)
 
 // ToCSR converts a COO matrix to canonical CSR (rows sorted, duplicates
 // summed). The input is not modified.
@@ -32,30 +36,25 @@ func (m *COO) ToCSC() *CSC {
 
 // Dedup returns a copy of m sorted row-major (row, then column) with
 // duplicate coordinates summed in input order. It packs (row, col) into a
-// 64-bit key and stably radix-sorts, so deduplication is O(nnz) rather than
-// comparison-sort bound.
+// 64-bit key and stably radix-sorts the key plane with the values riding
+// along, so deduplication is O(nnz) rather than comparison-sort bound.
 func (m *COO) Dedup() *COO {
 	n := len(m.Val)
-	pairs := make([]radix.Pair, n)
+	keys := make([]uint64, n)
+	vals := slices.Clone(m.Val)
 	for i := 0; i < n; i++ {
-		pairs[i] = radix.Pair{
-			Key: uint64(uint32(m.Row[i]))<<32 | uint64(uint32(m.Col[i])),
-			Val: m.Val[i],
-		}
+		keys[i] = uint64(uint32(m.Row[i]))<<32 | uint64(uint32(m.Col[i]))
 	}
-	radix.SortPairsStable(pairs, make([]radix.Pair, n), true)
+	radix.SortScratch(keys, vals, make([]uint64, n), make([]float64, n), true)
 	out := &COO{NumRows: m.NumRows, NumCols: m.NumCols}
-	for i := 0; i < n; i++ {
-		k := len(out.Val)
-		row := int32(pairs[i].Key >> 32)
-		col := int32(pairs[i].Key & 0xffffffff)
-		if k > 0 && out.Row[k-1] == row && out.Col[k-1] == col {
-			out.Val[k-1] += pairs[i].Val
+	for i, key := range keys {
+		if i > 0 && key == keys[i-1] {
+			out.Val[len(out.Val)-1] += vals[i]
 			continue
 		}
-		out.Row = append(out.Row, row)
-		out.Col = append(out.Col, col)
-		out.Val = append(out.Val, pairs[i].Val)
+		out.Row = append(out.Row, int32(key>>32))
+		out.Col = append(out.Col, int32(uint32(key)))
+		out.Val = append(out.Val, vals[i])
 	}
 	return out
 }

@@ -55,6 +55,58 @@ func TestCOOToCSRSumsDuplicates(t *testing.T) {
 	}
 }
 
+// TestCOODedupWideKeysRealValues pins Dedup's 64-bit key sort on row ids
+// past 2^16 and column ids past 2^16 (the packed key spans both halves of
+// the word), with real-valued duplicates scattered out of sorted order:
+// each coordinate's sum must be the left-to-right sum in input order, bit
+// for bit, and the output must be row-major sorted.
+func TestCOODedupWideKeysRealValues(t *testing.T) {
+	const rows, cols = 1 << 20, 70000
+	coords := [][2]int32{{rows - 1, 5}, {1 << 16, cols - 1}, {3, 1 << 16}, {1 << 16, 0}, {70001, 69999}}
+	coo := &COO{NumRows: rows, NumCols: cols}
+	state := uint64(7)
+	for i := 0; i < 600; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		c := coords[state>>60%uint64(len(coords))]
+		v := float64(int64(state>>40)%2001-1000) / 7
+		switch i % 50 {
+		case 0:
+			v = 1e16 // with the next two: order-sensitive cancellation
+		case 1:
+			v = 1
+		case 2:
+			v = -1e16
+		case 3:
+			v = math.Copysign(0, -1)
+		}
+		coo.Row = append(coo.Row, c[0])
+		coo.Col = append(coo.Col, c[1])
+		coo.Val = append(coo.Val, v)
+	}
+	want := map[[2]int32]float64{}
+	for i, v := range coo.Val {
+		k := [2]int32{coo.Row[i], coo.Col[i]}
+		if s, ok := want[k]; ok {
+			want[k] = s + v
+		} else {
+			want[k] = v
+		}
+	}
+	d := coo.Dedup()
+	if len(d.Val) != len(want) {
+		t.Fatalf("dedup kept %d entries, want %d", len(d.Val), len(want))
+	}
+	for i := range d.Val {
+		if i > 0 && (d.Row[i] < d.Row[i-1] || d.Row[i] == d.Row[i-1] && d.Col[i] <= d.Col[i-1]) {
+			t.Fatalf("entry %d (%d,%d) out of row-major order", i, d.Row[i], d.Col[i])
+		}
+		k := [2]int32{d.Row[i], d.Col[i]}
+		if math.Float64bits(d.Val[i]) != math.Float64bits(want[k]) {
+			t.Fatalf("(%d,%d) = %v, want %v (input-order sum)", k[0], k[1], d.Val[i], want[k])
+		}
+	}
+}
+
 func TestRoundTripCSRCSC(t *testing.T) {
 	m := randomCOO(1, 50, 70, 400).ToCSR()
 	back := m.ToCSC().ToCSR()

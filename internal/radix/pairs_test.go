@@ -7,41 +7,46 @@ import (
 	"testing/quick"
 )
 
-// These tests hold the pair sort to its in-place contract: SortPairsStable
-// leaves the result in the caller's slice (aux is scratch only), which is
-// what COO.Dedup and ColumnESC rely on.
+// These tests hold the 64-bit key sort to its in-place contract: SortScratch
+// leaves the result in the caller's planes (auxK/auxV are scratch only),
+// which is what COO.Dedup relies on for its row<<32|col keys.
 
-// pairsSorted reports whether ps is in nondecreasing key order.
-func pairsSorted(ps []Pair) bool {
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Key < ps[i-1].Key {
+func sortWideInPlace(keys []uint64, vals []float64) {
+	SortScratch(keys, vals, make([]uint64, len(keys)), make([]float64, len(vals)), true)
+}
+
+// keysSorted reports whether keys are in nondecreasing order.
+func keysSorted(keys []uint64) bool {
+	for i := 1; i < len(keys); i++ {
+		if keys[i] < keys[i-1] {
 			return false
 		}
 	}
 	return true
 }
 
-func sortPairsInPlace(ps []Pair) {
-	SortPairsStable(ps, make([]Pair, len(ps)), true)
-}
-
 func TestSortPairsInPlaceMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 2, 31, 32, 33, 500, 20000} {
 		for _, maxKey := range []uint64{2, 256, 1 << 20, 1 << 40, ^uint64(0)} {
-			ps := make([]Pair, n)
-			for i := range ps {
-				ps[i] = Pair{Key: r.Uint64() % maxKey, Val: r.Float64()}
+			keys := make([]uint64, n)
+			vals := make([]float64, n)
+			idx := make([]int, n)
+			for i := range keys {
+				keys[i], vals[i], idx[i] = r.Uint64()%maxKey, r.Float64(), i
 			}
-			want := append([]Pair(nil), ps...)
-			sort.SliceStable(want, func(a, b int) bool { return want[a].Key < want[b].Key })
-			sortPairsInPlace(ps)
-			if !pairsSorted(ps) {
+			sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+			wantK, wantV := make([]uint64, n), make([]float64, n)
+			for i, j := range idx {
+				wantK[i], wantV[i] = keys[j], vals[j]
+			}
+			sortWideInPlace(keys, vals)
+			if !keysSorted(keys) {
 				t.Fatalf("n=%d maxKey=%d: not sorted", n, maxKey)
 			}
-			for i := range ps {
-				if ps[i] != want[i] {
-					t.Fatalf("n=%d maxKey=%d: tuple %d = %+v, want %+v", n, maxKey, i, ps[i], want[i])
+			for i := range keys {
+				if keys[i] != wantK[i] || vals[i] != wantV[i] {
+					t.Fatalf("n=%d maxKey=%d: tuple %d = (%d,%v), want (%d,%v)", n, maxKey, i, keys[i], vals[i], wantK[i], wantV[i])
 				}
 			}
 		}
@@ -49,24 +54,25 @@ func TestSortPairsInPlaceMatchesStdlib(t *testing.T) {
 }
 
 func TestSortPairsInPlacePreservesPayloadMultiset(t *testing.T) {
-	f := func(keys []uint64) bool {
-		ps := make([]Pair, len(keys))
+	f := func(raw []uint64) bool {
+		keys := make([]uint64, len(raw))
+		vals := make([]float64, len(raw))
 		sum := 0.0
-		for i, k := range keys {
-			ps[i] = Pair{Key: k % 1024, Val: float64(i)}
+		for i, k := range raw {
+			keys[i], vals[i] = k%1024<<32, float64(i)
 			sum += float64(i)
 		}
-		sortPairsInPlace(ps)
+		sortWideInPlace(keys, vals)
 		var got float64
 		seen := make(map[float64]bool)
-		for _, p := range ps {
-			if seen[p.Val] {
+		for _, v := range vals {
+			if seen[v] {
 				return false // payload duplicated
 			}
-			seen[p.Val] = true
-			got += p.Val
+			seen[v] = true
+			got += v
 		}
-		return got == sum && pairsSorted(ps)
+		return got == sum && keysSorted(keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -74,17 +80,18 @@ func TestSortPairsInPlacePreservesPayloadMultiset(t *testing.T) {
 }
 
 func TestSortPairsInPlaceAllEqual(t *testing.T) {
-	ps := make([]Pair, 100)
-	for i := range ps {
-		ps[i] = Pair{Key: 42, Val: float64(i)}
+	keys := make([]uint64, 100)
+	vals := make([]float64, 100)
+	for i := range keys {
+		keys[i], vals[i] = 42<<32|7, float64(i)
 	}
-	sortPairsInPlace(ps)
-	if !pairsSorted(ps) {
+	sortWideInPlace(keys, vals)
+	if !keysSorted(keys) {
 		t.Fatal("equal keys broke sorting")
 	}
-	for i, p := range ps {
-		if p.Val != float64(i) {
-			t.Fatalf("tuple %d carries payload %v; equal keys must keep arrival order", i, p.Val)
+	for i, v := range vals {
+		if v != float64(i) {
+			t.Fatalf("tuple %d carries payload %v; equal keys must keep arrival order", i, v)
 		}
 	}
 }

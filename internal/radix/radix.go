@@ -4,19 +4,26 @@
 //
 // Every sorter is an American-flag MSD radix (McIlroy/Bostic/McIlroy 1993)
 // made stable: each splitting pass is a counting scatter that ping-pongs
-// between the tuple plane and a caller-provided scratch plane, so equal keys
-// keep their arrival (expand) order at every level. There is one family per
-// tuple layout — wide 16-byte Pairs (stablepairs.go), uint32 keys with a
-// value plane (stable32.go) and key-only pattern tuples (stablepattern.go)
-// — each with a plain sort, a partition/continue pair for bins split across
-// workers, and a fused sort+fold.
+// between the tuple planes and caller-provided scratch planes, so equal keys
+// keep their arrival (expand) order at every level. There are two families,
+// each with a plain sort, a partition/continue pair for bins split across
+// workers, and a fused sort+fold:
+//
+//   - key+value (stable.go): a key plane plus a parallel value plane,
+//     generic over the key width K (uint32 for the squeezed and narrow
+//     layouts and ColumnESC's column ids, uint64 for the wide layout and
+//     COO.Dedup's row<<32|col keys) and the value type V;
+//   - key-only (stablepattern.go): the pattern layout's uint32 keys, whose
+//     fold is deduplication.
 //
 // The paper's key-squeezing optimization — representing the in-bin local row
 // id in ~10 bits so the combined key fits 4 bytes and needs only four passes —
 // is realized by skipping digits that are uniform across the slice:
 // PB-SpGEMM packs keys as localRow<<colBits|col, so small local row ids leave
 // the high key bits zero and the sorters perform only the passes the
-// occupied bits need.
+// occupied bits need. The digit plan starts from the highest occupied bit,
+// so a 64-bit key whose high word is zero sorts in exactly the passes of
+// the same key held in 32 bits.
 //
 // Fused sort→compress: the recursion visits buckets in ascending key order,
 // and a bucket that reaches its last digit (or the insertion cutoff) is
@@ -36,7 +43,7 @@ import (
 )
 
 // insertionCutoff is the sub-slice size below which insertion sort beats the
-// bucket machinery. 32 is the conventional choice for 16-byte elements.
+// bucket machinery.
 const insertionCutoff = 32
 
 // digitBits caps the American-flag digit width: 256 buckets keep each
@@ -47,12 +54,12 @@ const digitBits = 8
 // maxBuckets sizes the per-pass counter arrays.
 const maxBuckets = 1 << digitBits
 
-// MaxPartitionBuckets is the most buckets PartitionTop32Scratch can emit;
+// MaxPartitionBuckets is the most buckets PartitionTopScratch can emit;
 // callers size its bounds slice to MaxPartitionBuckets+1.
 const MaxPartitionBuckets = maxBuckets
 
-// digitWidth picks the digit width of one key32 pass: ~2 expected tuples
-// per bucket, capped by digitBits and the remaining key bits.
+// digitWidth picks the digit width of one splitting pass: ~2 expected
+// tuples per bucket, capped by digitBits and the remaining key bits.
 func digitWidth(n, hiBits int) int {
 	w := bits.Len(uint(n) >> 1) // ≈ log2(n/2)
 	if w < 4 {
@@ -67,22 +74,19 @@ func digitWidth(n, hiBits int) int {
 	return w
 }
 
-// topByte returns the index (0 = least significant) of the most significant
-// non-zero byte of x: the first byte digit the wide sorter splits on.
-func topByte(x uint64) int {
-	b := 0
-	for s := 32; s >= 8; s >>= 1 {
-		if x>>(uint(s)) != 0 {
-			x >>= uint(s)
-			b += s / 8
-		}
-	}
-	return b
+// Key is the packed-key constraint: uint32 keys for the squeezed, narrow
+// and pattern layouts, uint64 for the wide layout. It matches simd.Key.
+type Key interface {
+	~uint32 | ~uint64
 }
+
+// keyBits returns the number of occupied bits of a key OR: the first digit
+// plan's hiBits.
+func keyBits[K Key](or K) int { return bits.Len64(uint64(or)) }
 
 // Numeric is the value constraint of the fused fold: the engine's semiring
 // fast paths fold with +, so the fused sorter needs addition — float64 (the
-// squeezed layout), float32 and int32 (the narrow layout).
+// squeezed and wide layouts), float32 and int32 (the narrow layout).
 type Numeric interface {
 	~float32 | ~float64 | ~int32
 }
@@ -92,4 +96,15 @@ type Numeric interface {
 // chain from the first value does) and 0 for int32.
 func negZero[V Numeric]() V {
 	return V(math.Copysign(0, -1))
+}
+
+// Grow returns (*buf)[:n], reallocating only when capacity is short;
+// contents are unspecified. It sizes the key and value planes of the pooled
+// workspaces in internal/core and internal/baseline.
+func Grow[T any](buf *[]T, n int64) []T {
+	if int64(cap(*buf)) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }

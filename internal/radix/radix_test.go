@@ -1,98 +1,70 @@
 package radix
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// stablePairsRef is the wide-layout oracle: the standard library's stable
-// sort by key. Every sorter here is stable, so the match is exact, payload
-// order under equal keys included.
-func stablePairsRef(ps []Pair) []Pair {
-	out := slices.Clone(ps)
-	slices.SortStableFunc(out, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
-	return out
-}
+// The K=uint64 runs of the key+value tables (stable_test.go): the wide
+// layout's 8-byte key plane, ColumnESC and COO.Dedup. Keys span both halves
+// of the word, so every table meets keys ≥ 2^32.
 
-// foldPairsRef is the two-pointer compress the fused sorts must reproduce
-// bit for bit: fold equal keys left to right over stably sorted input.
-func foldPairsRef(sorted []Pair) []Pair {
-	var out []Pair
-	for _, p := range sorted {
-		if len(out) > 0 && out[len(out)-1].Key == p.Key {
-			out[len(out)-1].Val += p.Val
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-func randPairs(r *rand.Rand, n int, keyMask uint64) []Pair {
-	ps := make([]Pair, n)
-	for i := range ps {
-		ps[i] = Pair{Key: r.Uint64() & keyMask, Val: r.NormFloat64()}
-	}
-	return ps
-}
-
-// checkSortPairs sorts a copy of ps with SortPairsStable in both kernel
-// modes and requires the exact oracle order.
-func checkSortPairs(t *testing.T, name string, ps []Pair) {
+// checkSortWide sorts copies of (keys, vals) with SortScratch in both kernel
+// modes and requires the exact stable oracle order.
+func checkSortWide(t *testing.T, name string, keys []uint64, vals []float64) {
 	t.Helper()
-	want := stablePairsRef(ps)
+	wantK, wantV := stableRef(keys, vals, false)
 	for _, batch := range []bool{false, true} {
-		got := slices.Clone(ps)
-		SortPairsStable(got, make([]Pair, len(got)), batch)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s batch=%v: tuple %d = %+v, want %+v", name, batch, i, got[i], want[i])
-			}
-		}
+		k, v := slices.Clone(keys), slices.Clone(vals)
+		SortScratch(k, v, make([]uint64, len(k)), make([]float64, len(v)), batch)
+		checkKV(t, name, k, wantK, v, wantV)
 	}
 }
 
 func TestSortPairsRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
+	var cases []sortCase[uint64]
 	for _, n := range []int{0, 1, 2, 3, 15, 16, 31, 32, 33, 100, 1000, 10000} {
-		checkSortPairs(t, "random", randPairs(r, n, ^uint64(0)))
+		cases = append(cases, sortCase[uint64]{n, ^uint64(0)})
 	}
+	testSortTable(t, cases)
 }
 
-// TestSortPairsSmallKeys: keys confined to few bytes — the squeezed-key case
-// PB-SpGEMM produces — and duplicate-heavy ranges where stability shows.
+// TestSortPairsSmallKeys: keys confined to a few low bits — the squeezed-key
+// case PB-SpGEMM produces — up to keys just past 2^32 and 2^40, including
+// duplicate-heavy ranges where stability shows.
 func TestSortPairsSmallKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, n := range []int{31, 32, 33, 500, 20000} {
-		for _, maxKey := range []uint64{2, 256, 65535, 1 << 20, 1 << 32, 1 << 40} {
-			ps := randPairs(r, n, ^uint64(0))
-			for i := range ps {
-				ps[i].Key %= maxKey
+		for _, maxKey := range []uint64{2, 256, 65535, 1 << 20, 1 << 32, 1<<32 + 3, 1 << 40} {
+			keys, vals := randKV(n, ^uint64(0), r.Int63())
+			for i := range keys {
+				keys[i] %= maxKey
 			}
-			checkSortPairs(t, "small keys", ps)
+			checkSortWide(t, "small keys", keys, vals)
 		}
 	}
 }
 
 func TestSortPairsEdgeCases(t *testing.T) {
-	// All equal keys: a stable sort keeps payloads in arrival order.
-	equal := make([]Pair, 100)
-	for i := range equal {
-		equal[i] = Pair{Key: 42, Val: float64(i)}
+	// All equal keys above 2^32: a stable sort keeps payloads in arrival order.
+	keys := make([]uint64, 100)
+	vals := make([]float64, 100)
+	for i := range keys {
+		keys[i], vals[i] = 42<<32, float64(i)
 	}
-	checkSortPairs(t, "all equal", equal)
+	checkSortWide(t, "all equal", keys, vals)
 	// All zeros.
-	checkSortPairs(t, "all zero", make([]Pair, 100))
-	// Reverse sorted, spanning byte boundaries.
-	rev := make([]Pair, 4000)
-	for i := range rev {
-		rev[i] = Pair{Key: uint64(len(rev) - i), Val: float64(i)}
+	checkSortWide(t, "all zero", make([]uint64, 100), make([]float64, 100))
+	// Reverse sorted, spanning digit boundaries and the 32-bit boundary.
+	keys, vals = make([]uint64, 4000), make([]float64, 4000)
+	for i := range keys {
+		keys[i], vals[i] = uint64(len(keys)-i)<<20, float64(i)
 	}
-	checkSortPairs(t, "reverse", rev)
+	checkSortWide(t, "reverse", keys, vals)
 }
 
 // TestSortPairsMismatchedLengthsPanics: a scratch plane shorter than the
@@ -103,34 +75,39 @@ func TestSortPairsMismatchedLengthsPanics(t *testing.T) {
 			t.Fatal("expected panic on short scratch")
 		}
 	}()
-	ps := []Pair{{Key: 3}, {Key: 1}, {Key: 2}}
-	SortPairsStable(ps, make([]Pair, 2), false)
+	keys := []uint64{3 << 32, 1, 2}
+	SortScratch(keys, make([]float64, 3), make([]uint64, 2), make([]float64, 2), false)
 }
 
 func TestQuickSortPairs(t *testing.T) {
-	f := func(keys []uint64, seed int64) bool {
+	f := func(raw []uint64, seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		ps := make([]Pair, len(keys))
-		for i, k := range keys {
-			ps[i] = Pair{Key: k % 1024, Val: r.Float64()}
+		keys := make([]uint64, len(raw))
+		vals := make([]float64, len(raw))
+		for i, k := range raw {
+			keys[i] = k % 1024 << 31
+			vals[i] = r.Float64()
 		}
-		want := stablePairsRef(ps)
-		SortPairsStable(ps, make([]Pair, len(ps)), true)
-		return slices.Equal(ps, want)
+		wantK, wantV := stableRef(keys, vals, false)
+		SortScratch(keys, vals, make([]uint64, len(keys)), make([]float64, len(vals)), true)
+		return slices.Equal(keys, wantK) && slices.Equal(vals, wantV)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// passes is the number of byte digits the wide sorter can split on for
-// keys whose OR is x — the quantity the paper's key-squeezing argument
-// minimizes (8 for raw 8-byte keys, 4 for squeezed 4-byte keys).
+// passes is the number of splitting passes the digit plan makes on a large
+// bin whose key OR is x — the quantity the paper's key-squeezing argument
+// minimizes (8 for raw 8-byte keys, 4 for squeezed 4-byte keys). The plan
+// starts at the highest occupied bit, so the key's width in memory does not
+// enter.
 func passes(x uint64) int {
-	if x == 0 {
-		return 0
+	p := 0
+	for hi := bits.Len64(x); hi > 0; hi -= digitWidth(1<<20, hi) {
+		p++
 	}
-	return topByte(x) + 1
+	return p
 }
 
 func TestPasses(t *testing.T) {
@@ -172,77 +149,37 @@ func TestKeySqueezingNeedsFourPasses(t *testing.T) {
 }
 
 // TestPartitionPairsTopByteEquivalence: the split-bin path — one
-// PartitionPairsScratch pass, then SortPairsAtByteStable per bucket — must
-// equal one whole-slice SortPairsStable.
+// PartitionTopScratch pass, then SortBitsScratch per bucket — must equal one
+// whole-slice SortScratch on 64-bit keys.
 func TestPartitionPairsTopByteEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, mask := range []uint64{0xffffffffffff, 0xffff, 0xff, 0x3, 0} {
-		ps := randPairs(r, 5000, mask)
-		want := stablePairsRef(ps)
-		aux := make([]Pair, len(ps))
-		bounds := make([]int64, maxBuckets+1)
-		nb, next := PartitionPairsScratch(ps, aux, bounds, true)
-		for b := range nb {
-			lo, hi := bounds[b], bounds[b+1]
-			SortPairsAtByteStable(ps[lo:hi], aux[lo:hi], next, true)
-		}
-		if !slices.Equal(ps, want) {
-			t.Fatalf("mask=%x: partitioned pair sort diverges from whole sort", mask)
-		}
-	}
+	testPartitionTable(t, []sortCase[uint64]{
+		{5000, 0xffffffffffff}, {5000, 0xffff}, {5000, 0xff}, {5000, 0x3}, {5000, 0},
+		{50000, ^uint64(0)}, {50000, 0xffff_0000_0000}, {4096, 1 << 40},
+	})
 }
 
-// TestSortPairsFusedMatchesSortThenCompress: the fused sort's prefix must be
-// bit-identical (values included — same fold order) to the stable sort
-// followed by the reference compress, across sizes straddling the insertion
-// cutoff and key ranges from all-duplicates to all-distinct.
 func TestSortPairsFusedMatchesSortThenCompress(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 2, 3, 31, 32, 33, 100, 1000, 20000} {
-		for _, kr := range []uint64{0, 1, 2, 7, 100, 1 << 10, 1 << 22, 1 << 40} {
-			ps := randPairs(r, n, ^uint64(0))
-			for i := range ps {
-				if kr == 0 {
-					ps[i].Key = 0
-				} else {
-					ps[i].Key %= kr
-				}
-			}
-			want := foldPairsRef(stablePairsRef(ps))
-			for _, batch := range []bool{false, true} {
-				got := slices.Clone(ps)
-				m := SortPairsFusedScratch(got, make([]Pair, n), batch)
-				if m != int64(len(want)) {
-					t.Fatalf("n=%d kr=%d batch=%v: fused len %d, want %d", n, kr, batch, m, len(want))
-				}
-				for i := range m {
-					if !samePair(got[i], want[i]) {
-						t.Fatalf("n=%d kr=%d batch=%v: tuple %d = %+v, want %+v", n, kr, batch, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
+	// Unlifted ranges keep keys below 2^32 in a 64-bit plane; the lifted
+	// run duplicates keys that live entirely above bit 32.
+	ranges := []uint64{0, 1, 2, 7, 100, 1 << 10, 1 << 22, 1 << 40, ^uint64(0)}
+	testFusedTable(t, ranges, 0, 2)
+	testFusedTable(t, []uint64{1, 7, 1 << 10, 1 << 22}, 33, 3)
 }
 
-func BenchmarkSortPairsStable64K(b *testing.B) {
-	// One L2-sized bin: 64K tuples with 30-bit (squeezed) keys, the PB sort
-	// phase's unit of work on the wide layout.
-	r := rand.New(rand.NewSource(1))
-	src := randPairs(r, 1<<16, 1<<30-1)
-	work := make([]Pair, len(src))
-	aux := make([]Pair, len(src))
-	b.SetBytes(int64(len(src) * 16))
+func BenchmarkSortWide64K(b *testing.B) {
+	// One L2-sized bin: 64K tuples with 30-bit keys held in the wide
+	// layout's 8-byte key plane.
+	const n = 64 << 10
+	keys, vals := randKV[uint64](n, 1<<30-1, 1)
+	work, workV := make([]uint64, n), make([]float64, n)
+	auxK, auxV := make([]uint64, n), make([]float64, n)
+	b.SetBytes(n * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(work, src)
-		SortPairsStable(work, aux, true)
+		copy(work, keys)
+		copy(workV, vals)
+		SortScratch(work, workV, auxK, auxV, true)
 	}
-}
-
-// samePair compares tuples bit for bit, so a −0.0/+0.0 mismatch counts.
-func samePair(a, b Pair) bool {
-	return a.Key == b.Key && math.Float64bits(a.Val) == math.Float64bits(b.Val)
 }
 
 // TestFusedKeepsNegativeZero: a run of −0.0 values folds to −0.0 in the
@@ -253,32 +190,31 @@ func TestFusedKeepsNegativeZero(t *testing.T) {
 	const n = 4096
 	nz := math.Copysign(0, -1)
 	r := rand.New(rand.NewSource(6))
-	ps := make([]Pair, n)
 	keys := make([]uint32, n)
+	keys64 := make([]uint64, n)
 	vals := make([]float64, n)
 	vals32 := make([]float32, n)
 	for i := range n {
 		k := uint32(r.Intn(1 << 10))
-		ps[i] = Pair{Key: uint64(k), Val: nz}
-		keys[i], vals[i], vals32[i] = k, nz, float32(nz)
+		keys[i], keys64[i], vals[i], vals32[i] = k, uint64(k)<<32, nz, float32(nz)
 	}
 	for _, batch := range []bool{false, true} {
-		wp := slices.Clone(ps)
-		m := SortPairsFusedScratch(wp, make([]Pair, n), batch)
+		wk, wv := slices.Clone(keys64), slices.Clone(vals)
+		m := SortFusedScratch(wk, wv, make([]uint64, n), make([]float64, n), batch)
 		for i := range m {
-			if !math.Signbit(wp[i].Val) {
-				t.Fatalf("wide batch=%v: tuple %d folded to %v, want -0", batch, i, wp[i].Val)
+			if !math.Signbit(wv[i]) {
+				t.Fatalf("wide batch=%v: tuple %d folded to %v, want -0", batch, i, wv[i])
 			}
 		}
-		wk, wv := slices.Clone(keys), slices.Clone(vals)
-		m = SortKeys32FusedScratch(wk, wv, make([]uint32, n), make([]float64, n), batch)
+		wk32, wv := slices.Clone(keys), slices.Clone(vals)
+		m = SortFusedScratch(wk32, wv, make([]uint32, n), make([]float64, n), batch)
 		for i := range m {
 			if !math.Signbit(wv[i]) {
 				t.Fatalf("squeezed batch=%v: tuple %d folded to %v, want -0", batch, i, wv[i])
 			}
 		}
-		wk, wv32 := slices.Clone(keys), slices.Clone(vals32)
-		m = SortKeys32FusedScratch(wk, wv32, make([]uint32, n), make([]float32, n), batch)
+		wk32, wv32 := slices.Clone(keys), slices.Clone(vals32)
+		m = SortFusedScratch(wk32, wv32, make([]uint32, n), make([]float32, n), batch)
 		for i := range m {
 			if !math.Signbit(float64(wv32[i])) {
 				t.Fatalf("narrow batch=%v: tuple %d folded to %v, want -0", batch, i, wv32[i])

@@ -1,22 +1,21 @@
 package radix
 
-import (
-	"math/bits"
+import "pbspgemm/internal/simd"
 
-	"pbspgemm/internal/simd"
-)
-
-// Stable out-of-place American-flag radix for the key32 planes (squeezed,
-// narrow and — via the key-only variants in stablepattern.go — pattern).
+// Stable out-of-place American-flag radix over a key plane and a parallel
+// value plane, generic over the key width K and the value type V: the
+// squeezed (uint32, float64), narrow (uint32, float32|int32) and wide
+// (uint64, float64) layouts all run this one family, as do ColumnESC and
+// COO.Dedup. The key-only variants in stablepattern.go serve the pattern
+// layout.
 //
-// Unlike the classic in-place cycle-following permute this ping-pongs each
-// splitting pass between the tuple buffer and a caller-provided scratch
-// plane with a STABLE counting scatter: equal keys keep their arrival
-// (expand) order at every level. Stability is what makes the fused and
-// unfused paths, the split-bin parallel path, and every thread count
-// produce bit-identical arrays by construction — any stable sort of the same bin yields the same
-// tuple sequence, and every fold over an equal-key group is the same
-// left-to-right chain in arrival order.
+// Each splitting pass ping-pongs between the tuple planes and
+// caller-provided scratch planes with a STABLE counting scatter: equal keys
+// keep their arrival (expand) order at every level. Stability is what makes
+// the fused and unfused paths, the split-bin parallel path, and every
+// thread count produce bit-identical arrays by construction — any stable
+// sort of the same bin yields the same tuple sequence, and every fold over
+// an equal-key group is the same left-to-right chain in arrival order.
 //
 // The counting, scatter and fold inner loops dispatch to internal/simd:
 // batch=true selects the unsafe-batched kernels, batch=false the scalar
@@ -25,22 +24,22 @@ import (
 
 // dispatch helpers: one branch per pass, hoisted out of the inner loops.
 
-func or32(keys []uint32, batch bool) uint32 {
+func orKeys[K Key](keys []K, batch bool) K {
 	if batch {
-		return simd.OrU32(keys)
+		return simd.Or(keys)
 	}
-	return simd.OrU32Scalar(keys)
+	return simd.OrScalar(keys)
 }
 
-func hist32(keys []uint32, shift uint, mask uint32, count *[maxBuckets]int64, batch bool) {
+func hist[K Key](keys []K, shift uint, mask uint32, count *[maxBuckets]int64, batch bool) {
 	if batch {
-		simd.HistU32(keys, shift, mask, count)
+		simd.Hist(keys, shift, mask, count)
 	} else {
-		simd.HistU32Scalar(keys, shift, mask, count)
+		simd.HistScalar(keys, shift, mask, count)
 	}
 }
 
-func scatter32[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift uint, mask uint32, cursor *[maxBuckets]int64, batch bool) {
+func scatter[K Key, V any](srcK []K, srcV []V, dstK []K, dstV []V, shift uint, mask uint32, cursor *[maxBuckets]int64, batch bool) {
 	if batch {
 		simd.ScatterKV(srcK, srcV, dstK, dstV, shift, mask, cursor)
 	} else {
@@ -48,7 +47,7 @@ func scatter32[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift ui
 	}
 }
 
-func accum32[V Numeric](keys []uint32, vals []V, mask uint32, acc *[maxBuckets]V, batch bool) {
+func accum[K Key, V Numeric](keys []K, vals []V, mask uint32, acc *[maxBuckets]V, batch bool) {
 	if batch {
 		simd.AccumKV(keys, vals, mask, acc)
 	} else {
@@ -56,13 +55,11 @@ func accum32[V Numeric](keys []uint32, vals []V, mask uint32, acc *[maxBuckets]V
 	}
 }
 
-// SortKeys32Scratch stably sorts keys and carries vals along. The value
-// plane is layout-generic: the engine instantiates it with float64 (the
-// squeezed 12-byte layout) or a 4-byte value (the narrow 8-byte layout);
-// the sorter never inspects a value, only moves it with its key. vals must
-// be as long as keys, and auxK/auxV are scratch planes of at least
-// len(keys) whose contents are clobbered.
-func SortKeys32Scratch[V any](keys []uint32, vals []V, auxK []uint32, auxV []V, batch bool) {
+// SortScratch stably sorts keys and carries vals along. The sorter never
+// inspects a value, only moves it with its key. vals must be as long as
+// keys, and auxK/auxV are scratch planes of at least len(keys) whose
+// contents are clobbered.
+func SortScratch[K Key, V any](keys []K, vals []V, auxK []K, auxV []V, batch bool) {
 	n := len(keys)
 	if len(vals) != n {
 		panic("radix: keys and vals length mismatch")
@@ -70,30 +67,30 @@ func SortKeys32Scratch[V any](keys []uint32, vals []V, auxK []uint32, auxV []V, 
 	if n < 2 {
 		return
 	}
-	or := or32(keys, batch)
-	if or == 0 {
+	o := orKeys(keys, batch)
+	if o == 0 {
 		return // every key zero: already sorted
 	}
-	stableSort32(keys, vals, auxK[:n], auxV[:n], bits.Len32(or), true, batch)
+	stableSort(keys, vals, auxK[:n], auxV[:n], keyBits(o), true, batch)
 }
 
-// SortKeys32BitsScratch is SortKeys32Scratch for a bucket whose keys are
-// known to agree on all bits at or above hiBits (a PartitionTop32Scratch
-// bucket continued on another worker's scratch).
-func SortKeys32BitsScratch[V any](keys []uint32, vals []V, auxK []uint32, auxV []V, hiBits int, batch bool) {
+// SortBitsScratch is SortScratch for a bucket whose keys are known to agree
+// on all bits at or above hiBits (a PartitionTopScratch bucket continued on
+// another worker's scratch).
+func SortBitsScratch[K Key, V any](keys []K, vals []V, auxK []K, auxV []V, hiBits int, batch bool) {
 	n := len(keys)
 	if n < 2 || hiBits <= 0 {
 		return
 	}
-	stableSort32(keys, vals, auxK[:n], auxV[:n], hiBits, true, batch)
+	stableSort(keys, vals, auxK[:n], auxV[:n], hiBits, true, batch)
 }
 
-// stableSort32 sorts the segment whose live data is in srcK/srcV, using
+// stableSort sorts the segment whose live data is in srcK/srcV, using
 // altK/altV as the other ping-pong plane. inOrig records which physical
 // plane src is: true means src is the caller-visible buffer, so the sorted
-// result must end up there; each splitting pass flips it. Digits follow
-// digitWidth exactly as before.
-func stableSort32[V any](srcK []uint32, srcV []V, altK []uint32, altV []V, hiBits int, inOrig, batch bool) {
+// result must end up there; each splitting pass flips it. Digit widths
+// follow digitWidth.
+func stableSort[K Key, V any](srcK []K, srcV []V, altK []K, altV []V, hiBits int, inOrig, batch bool) {
 	n := len(srcK)
 	for {
 		if n <= 1 {
@@ -112,9 +109,9 @@ func stableSort32[V any](srcK []uint32, srcV []V, altK []uint32, altV []V, hiBit
 		}
 		if n <= insertionCutoff {
 			if inOrig {
-				insertionSortKeys32(srcK, srcV)
+				insertionSortKV(srcK, srcV)
 			} else {
-				insertionInto32(srcK, srcV, altK, altV)
+				insertionIntoKV(srcK, srcV, altK, altV)
 			}
 			return
 		}
@@ -123,7 +120,7 @@ func stableSort32[V any](srcK []uint32, srcV []V, altK []uint32, altV []V, hiBit
 		nb := 1 << w
 		mask := uint32(nb - 1)
 		var count [maxBuckets]int64
-		hist32(srcK, shift, mask, &count, batch)
+		hist(srcK, shift, mask, &count, batch)
 		nonEmpty := 0
 		var start [maxBuckets]int64
 		sum := int64(0)
@@ -139,7 +136,7 @@ func stableSort32[V any](srcK []uint32, srcV []V, altK []uint32, altV []V, hiBit
 			continue // digit uniform: same data, next digit
 		}
 		cursor := start
-		scatter32(srcK, srcV, altK, altV, shift, mask, &cursor, batch)
+		scatter(srcK, srcV, altK, altV, shift, mask, &cursor, batch)
 		if shift == 0 {
 			// Last digit: alt is fully sorted (stable within buckets).
 			if inOrig {
@@ -174,14 +171,14 @@ func stableSort32[V any](srcK []uint32, srcV []V, altK []uint32, altV []V, hiBit
 					srcK[s2], srcV[s2] = altK[s2], altV[s2]
 				}
 			default:
-				stableSort32(altK[s:s+c], altV[s:s+c], srcK[s:s+c], srcV[s:s+c], int(shift), !inOrig, batch)
+				stableSort(altK[s:s+c], altV[s:s+c], srcK[s:s+c], srcV[s:s+c], int(shift), !inOrig, batch)
 			}
 		}
 		return
 	}
 }
 
-func insertionSortKeys32[V any](keys []uint32, vals []V) {
+func insertionSortKV[K Key, V any](keys []K, vals []V) {
 	for i := 1; i < len(keys); i++ {
 		k, v := keys[i], vals[i]
 		j := i - 1
@@ -195,10 +192,10 @@ func insertionSortKeys32[V any](keys []uint32, vals []V) {
 	}
 }
 
-// insertionInto32 stably insertion-sorts src into dst (dst is the plane the
+// insertionIntoKV stably insertion-sorts src into dst (dst is the plane the
 // result must land in; src is dead afterwards). Shifting only on strict
 // key inequality keeps equal keys in arrival order.
-func insertionInto32[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V) {
+func insertionIntoKV[K Key, V any](srcK []K, srcV []V, dstK []K, dstV []V) {
 	for i := 0; i < len(srcK); i++ {
 		k, v := srcK[i], srcV[i]
 		j := i
@@ -212,22 +209,22 @@ func insertionInto32[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V) {
 	}
 }
 
-// PartitionTop32Scratch runs the sort's first splitting pass over the whole
+// PartitionTopScratch runs the sort's first splitting pass over the whole
 // bin as one stable scatter (through aux, copied back so bucket tasks can
 // continue on their own workers' scratch), fills bounds with the bucket
 // starts and returns (nbuckets, remaining bits). A zero nbuckets means the
 // keys ended up fully sorted (trivially, or because the single splitting
 // digit was the last one) and no bucket tasks are needed.
-func PartitionTop32Scratch[V any](keys []uint32, vals []V, auxK []uint32, auxV []V, bounds []int64, batch bool) (nbuckets, restBits int) {
+func PartitionTopScratch[K Key, V any](keys []K, vals []V, auxK []K, auxV []V, bounds []int64, batch bool) (nbuckets, restBits int) {
 	n := len(keys)
 	if n < 2 {
 		return 0, 0
 	}
-	or := or32(keys, batch)
-	if or == 0 {
+	o := orKeys(keys, batch)
+	if o == 0 {
 		return 0, 0
 	}
-	hiBits := bits.Len32(or)
+	hiBits := keyBits(o)
 	auxK, auxV = auxK[:n], auxV[:n]
 	for {
 		if hiBits <= 0 {
@@ -238,7 +235,7 @@ func PartitionTop32Scratch[V any](keys []uint32, vals []V, auxK []uint32, auxV [
 		nb := 1 << w
 		mask := uint32(nb - 1)
 		var count [maxBuckets]int64
-		hist32(keys, shift, mask, &count, batch)
+		hist(keys, shift, mask, &count, batch)
 		nonEmpty := 0
 		var start [maxBuckets]int64
 		sum := int64(0)
@@ -254,7 +251,7 @@ func PartitionTop32Scratch[V any](keys []uint32, vals []V, auxK []uint32, auxV [
 			continue
 		}
 		cursor := start
-		scatter32(keys, vals, auxK, auxV, shift, mask, &cursor, batch)
+		scatter(keys, vals, auxK, auxV, shift, mask, &cursor, batch)
 		copy(keys, auxK)
 		copy(vals, auxV)
 		for b := 0; b < nb; b++ {
@@ -268,28 +265,28 @@ func PartitionTop32Scratch[V any](keys []uint32, vals []V, auxK []uint32, auxV [
 	}
 }
 
-// fuse32S is the stable fused sort+fold: tuples are emitted into the prefix
+// fuseS is the stable fused sort+fold: tuples are emitted into the prefix
 // of the original planes as each leaf resolves, folding equal keys with one
 // sequential add chain in arrival order. The emit cursor f.n never passes
 // the start of the segment currently being resolved, so emitting into the
 // original planes is safe even while they double as a ping-pong side.
-type fuse32S[V Numeric] struct {
-	keys  []uint32
+type fuseS[K Key, V Numeric] struct {
+	keys  []K
 	vals  []V
 	n     int64
 	batch bool
 }
 
-// SortKeys32FusedScratch stably sorts and folds keys/vals in one pass,
+// SortFusedScratch stably sorts and folds keys/vals in one pass,
 // returning the folded tuple count. auxK/auxV are scratch planes of at
 // least len(keys); their contents are clobbered.
-func SortKeys32FusedScratch[V Numeric](keys []uint32, vals []V, auxK []uint32, auxV []V, batch bool) int64 {
+func SortFusedScratch[K Key, V Numeric](keys []K, vals []V, auxK []K, auxV []V, batch bool) int64 {
 	n := len(keys)
 	if n == 0 {
 		return 0
 	}
-	or := or32(keys, batch)
-	if or == 0 {
+	o := orKeys(keys, batch)
+	if o == 0 {
 		v := vals[0]
 		for i := 1; i < n; i++ {
 			v += vals[i]
@@ -297,18 +294,18 @@ func SortKeys32FusedScratch[V Numeric](keys []uint32, vals []V, auxK []uint32, a
 		vals[0] = v
 		return 1
 	}
-	f := fuse32S[V]{keys: keys, vals: vals, batch: batch}
-	f.sort(keys, vals, auxK[:n], auxV[:n], bits.Len32(or))
+	f := fuseS[K, V]{keys: keys, vals: vals, batch: batch}
+	f.sort(keys, vals, auxK[:n], auxV[:n], keyBits(o))
 	return f.n
 }
 
-func (f *fuse32S[V]) emitOne(k uint32, v V) {
+func (f *fuseS[K, V]) emitOne(k K, v V) {
 	f.keys[f.n] = k
 	f.vals[f.n] = v
 	f.n++
 }
 
-func (f *fuse32S[V]) sort(srcK []uint32, srcV []V, altK []uint32, altV []V, hiBits int) {
+func (f *fuseS[K, V]) sort(srcK []K, srcV []V, altK []K, altV []V, hiBits int) {
 	n := len(srcK)
 	if n == 0 {
 		return
@@ -336,7 +333,7 @@ func (f *fuse32S[V]) sort(srcK []uint32, srcV []V, altK []uint32, altV []V, hiBi
 	nb := 1 << w
 	mask := uint32(nb - 1)
 	var count [maxBuckets]int64
-	hist32(srcK, shift, mask, &count, f.batch)
+	hist(srcK, shift, mask, &count, f.batch)
 	nonEmpty := 0
 	var start [maxBuckets]int64
 	sum := int64(0)
@@ -361,12 +358,12 @@ func (f *fuse32S[V]) sort(srcK []uint32, srcV []V, altK []uint32, altV []V, hiBi
 		for b := range nb {
 			acc[b] = nz
 		}
-		accum32(srcK, srcV, mask, &acc, f.batch)
-		base := srcK[0] &^ mask
+		accum(srcK, srcV, mask, &acc, f.batch)
+		base := srcK[0] &^ K(mask)
 		out := f.n
 		for b := 0; b < nb; b++ {
 			if count[b] > 0 {
-				f.keys[out] = base | uint32(b)
+				f.keys[out] = base | K(b)
 				f.vals[out] = acc[b]
 				out++
 			}
@@ -375,7 +372,7 @@ func (f *fuse32S[V]) sort(srcK []uint32, srcV []V, altK []uint32, altV []V, hiBi
 		return
 	}
 	cursor := start
-	scatter32(srcK, srcV, altK, altV, shift, mask, &cursor, f.batch)
+	scatter(srcK, srcV, altK, altV, shift, mask, &cursor, f.batch)
 	for b := 0; b < nb; b++ {
 		c := count[b]
 		if c == 0 {
@@ -407,7 +404,7 @@ func (f *fuse32S[V]) sort(srcK []uint32, srcV []V, altK []uint32, altV []V, hiBi
 // insertionFold sorts a small segment by stable insertion directly into the
 // emit prefix, folding on key equality. Writes never pass the segment's own
 // read cursor, so src overlapping the emit region is safe.
-func (f *fuse32S[V]) insertionFold(srcK []uint32, srcV []V) {
+func (f *fuseS[K, V]) insertionFold(srcK []K, srcV []V) {
 	keys, vals := f.keys, f.vals
 	base := f.n
 	out := base
@@ -431,14 +428,4 @@ func (f *fuse32S[V]) insertionFold(srcK []uint32, srcV []V) {
 		out++
 	}
 	f.n = out
-}
-
-// GrowUint32 returns (*buf)[:n], reallocating only when capacity is short;
-// contents are unspecified. Counterpart of GrowPairs for the key32 planes.
-func GrowUint32(buf *[]uint32, n int64) []uint32 {
-	if int64(cap(*buf)) < n {
-		*buf = make([]uint32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }

@@ -6,7 +6,7 @@ import (
 	"pbspgemm/internal/simd"
 )
 
-// Key-only (pattern layout) twins of stable32.go. Pattern tuples have no
+// Key-only (pattern layout) twins of stable.go. Pattern tuples have no
 // value plane — the fold is deduplication — but the sorts keep the same
 // stable-scatter design so every layout shares one shape and the batched
 // kernels apply uniformly.
@@ -26,7 +26,7 @@ func SortKeys32PatternScratch(keys []uint32, aux []uint32, batch bool) {
 	if n < 2 {
 		return
 	}
-	or := or32(keys, batch)
+	or := orKeys(keys, batch)
 	if or == 0 {
 		return
 	}
@@ -71,7 +71,7 @@ func stableSortPattern(srcK []uint32, altK []uint32, hiBits int, inOrig, batch b
 		nb := 1 << w
 		mask := uint32(nb - 1)
 		var count [maxBuckets]int64
-		hist32(srcK, shift, mask, &count, batch)
+		hist(srcK, shift, mask, &count, batch)
 		nonEmpty := 0
 		var start [maxBuckets]int64
 		sum := int64(0)
@@ -148,7 +148,7 @@ func insertionIntoPattern(srcK []uint32, dstK []uint32) {
 	}
 }
 
-// PartitionTop32PatternScratch is PartitionTop32Scratch for the key-only
+// PartitionTop32PatternScratch is PartitionTopScratch for the key-only
 // plane: one stable scatter through aux with copy-back, bounds filled with
 // bucket starts; zero nbuckets means fully sorted.
 func PartitionTop32PatternScratch(keys []uint32, aux []uint32, bounds []int64, batch bool) (nbuckets, restBits int) {
@@ -156,7 +156,7 @@ func PartitionTop32PatternScratch(keys []uint32, aux []uint32, bounds []int64, b
 	if n < 2 {
 		return 0, 0
 	}
-	or := or32(keys, batch)
+	or := orKeys(keys, batch)
 	if or == 0 {
 		return 0, 0
 	}
@@ -171,7 +171,7 @@ func PartitionTop32PatternScratch(keys []uint32, aux []uint32, bounds []int64, b
 		nb := 1 << w
 		mask := uint32(nb - 1)
 		var count [maxBuckets]int64
-		hist32(keys, shift, mask, &count, batch)
+		hist(keys, shift, mask, &count, batch)
 		nonEmpty := 0
 		var start [maxBuckets]int64
 		sum := int64(0)
@@ -215,7 +215,7 @@ func SortKeys32FusedPatternScratch(keys []uint32, aux []uint32, batch bool) int6
 	if n == 0 {
 		return 0
 	}
-	or := or32(keys, batch)
+	or := orKeys(keys, batch)
 	if or == 0 {
 		return 1 // keys[0] is already 0
 	}
@@ -247,7 +247,7 @@ func (f *fuseKeysS) sort(srcK []uint32, altK []uint32, hiBits int) {
 	nb := 1 << w
 	mask := uint32(nb - 1)
 	var count [maxBuckets]int64
-	hist32(srcK, shift, mask, &count, f.batch)
+	hist(srcK, shift, mask, &count, f.batch)
 	nonEmpty := 0
 	var start [maxBuckets]int64
 	sum := int64(0)

@@ -1,6 +1,8 @@
 package semiring
 
 import (
+	"errors"
+
 	"pbspgemm/internal/core"
 	"pbspgemm/internal/matrix"
 )
@@ -12,7 +14,10 @@ import (
 // pattern (key-only) layout — the dispatch rule the README documents. The
 // generic engine in multiply.go remains the semantics oracle: every
 // ineligible call (custom semiring, mask, keys over 32 bits for the narrow
-// layouts, stored false booleans) falls back to it unchanged.
+// and pattern layouts, stored false booleans) falls back to it unchanged.
+// The key width is the typed engine's own call: it plans the bins from the
+// exact panel tiling and returns core.ErrKeyWidth before expanding a tuple,
+// so no estimate here can disagree with it.
 
 // Plan reports how MultiplyOpts executed a call: whether a typed fast path
 // ran and under which tuple layout. Request it via Options.Plan.
@@ -24,16 +29,6 @@ type Plan struct {
 	Layout core.Layout
 	// Reason says why the generic engine ran instead, when !FastPath.
 	Reason string
-}
-
-// flopsOf is the symbolic pass over the operand pointer arrays: the exact
-// expanded-tuple count of the outer-product formulation.
-func flopsOf[T any](a *CSCg[T], b *CSRg[T]) int64 {
-	var flops int64
-	for i := int32(0); i < a.NumCols; i++ {
-		flops += (a.ColPtr[i+1] - a.ColPtr[i]) * (b.RowPtr[i+1] - b.RowPtr[i])
-	}
-	return flops
 }
 
 // cscHeader wraps a generic column matrix's index arrays as a float64 CSC
@@ -97,8 +92,15 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		MemoryBudgetBytes: opt.MemoryBudgetBytes,
 		Workspace:         opt.Workspace,
 	}
-	key32Fits := func() bool {
-		return core.Key32Fits(a.NumRows, b.NumCols, flopsOf(a, b), copt)
+	// keyTooWide turns the typed engine's ErrKeyWidth — the run's bin
+	// geometry packs keys into more than 32 bits, so the narrow or pattern
+	// layout does not exist — into a generic-engine fallback.
+	keyTooWide := func(err error, layout string) bool {
+		if !errors.Is(err, core.ErrKeyWidth) {
+			return false
+		}
+		setPlan(Plan{Reason: "packed key exceeds 32 bits: no " + layout + " layout"})
+		return true
 	}
 
 	switch sr.kind {
@@ -123,11 +125,10 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		if !ok || !bok {
 			break
 		}
-		if !key32Fits() {
-			setPlan(Plan{Reason: "packed key exceeds 32 bits: no narrow layout"})
+		res, st, err := narrowFast(af, bf, copt)
+		if keyTooWide(err, "narrow") {
 			return nil, false, nil
 		}
-		res, st, err := narrowFast(af, bf, copt)
 		if err != nil {
 			return nil, true, err
 		}
@@ -140,11 +141,10 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 		if !ok || !bok {
 			break
 		}
-		if !key32Fits() {
-			setPlan(Plan{Reason: "packed key exceeds 32 bits: no narrow layout"})
+		res, st, err := narrowFast(af, bf, copt)
+		if keyTooWide(err, "narrow") {
 			return nil, false, nil
 		}
-		res, st, err := narrowFast(af, bf, copt)
 		if err != nil {
 			return nil, true, err
 		}
@@ -164,11 +164,10 @@ func tryFastPath[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt Options) (*C
 			setPlan(Plan{Reason: "stored false values: pattern layout is structural"})
 			return nil, false, nil
 		}
-		if !key32Fits() {
-			setPlan(Plan{Reason: "packed key exceeds 32 bits: no pattern layout"})
+		c, st, err := core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), copt)
+		if keyTooWide(err, "pattern") {
 			return nil, false, nil
 		}
-		c, st, err := core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), copt)
 		if err != nil {
 			return nil, true, err
 		}

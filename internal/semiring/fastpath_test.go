@@ -1,6 +1,7 @@
 package semiring
 
 import (
+	"slices"
 	"testing"
 
 	"pbspgemm/internal/core"
@@ -251,4 +252,65 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFastPathBudgetedKeyWidthFallback: under a memory budget the panel plan
+// can derive fewer bins (and so a wider local row id) than the budget-level
+// estimate core.Key32Fits makes. Here budget/16 tuples predicts 4 bins (18
+// local-row bits + 14 column bits = 32), but the two 140k-flop columns cut
+// into one panel each, whose 3 bins need 19 bits. The narrow and pattern
+// dispatches must then fall back to the generic engine, as the same call
+// without a budget runs the fast path, and both must produce the product.
+func TestFastPathBudgetedKeyWidthFallback(t *testing.T) {
+	const rows, inner, cols = 1 << 20, 2, 16383
+	const perCol, perRow = 14, 10000
+	a := &CSCg[int32]{NumRows: rows, NumCols: inner, ColPtr: []int64{0, perCol, 2 * perCol}}
+	for j := range inner {
+		for i := range perCol {
+			a.RowIdx = append(a.RowIdx, int32(i*(rows/perCol)+j))
+			a.Val = append(a.Val, int32(i+1))
+		}
+	}
+	b := &CSRg[int32]{NumRows: inner, NumCols: cols, RowPtr: []int64{0, perRow, 2 * perRow}}
+	for i := range inner {
+		for q := range perRow {
+			b.ColIdx = append(b.ColIdx, int32(q+i*(cols-perRow)))
+			b.Val = append(b.Val, int32(q%5+1))
+		}
+	}
+	const budget = 4 << 20
+
+	wantI, err := MultiplyOpts(stripKind(ArithmeticInt32()), a, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Plan
+	if _, err := MultiplyOpts(ArithmeticInt32(), a, b, Options{Plan: &p}); err != nil || !p.FastPath {
+		t.Fatalf("unbudgeted: err=%v plan=%+v, want the narrow fast path", err, p)
+	}
+	gotI, err := MultiplyOpts(ArithmeticInt32(), a, b, Options{MemoryBudgetBytes: budget, Plan: &p})
+	if err != nil {
+		t.Fatalf("budgeted narrow: %v", err)
+	}
+	if p.FastPath || p.Reason == "" {
+		t.Fatalf("budgeted narrow plan = %+v, want a key-width fallback with a reason", p)
+	}
+	if !sameStructureG(gotI, wantI) || !slices.Equal(gotI.Val, wantI.Val) {
+		t.Fatal("budgeted narrow fallback differs from the generic product")
+	}
+
+	ab := &CSCg[bool]{NumRows: a.NumRows, NumCols: a.NumCols, ColPtr: a.ColPtr, RowIdx: a.RowIdx,
+		Val: slices.Repeat([]bool{true}, len(a.RowIdx))}
+	bb := &CSRg[bool]{NumRows: b.NumRows, NumCols: b.NumCols, RowPtr: b.RowPtr, ColIdx: b.ColIdx,
+		Val: slices.Repeat([]bool{true}, len(b.ColIdx))}
+	gotB, err := MultiplyOpts(Boolean(), ab, bb, Options{MemoryBudgetBytes: budget, Plan: &p})
+	if err != nil {
+		t.Fatalf("budgeted pattern: %v", err)
+	}
+	if p.FastPath || p.Reason == "" {
+		t.Fatalf("budgeted pattern plan = %+v, want a key-width fallback with a reason", p)
+	}
+	if !slices.Equal(gotB.RowPtr, wantI.RowPtr) || !slices.Equal(gotB.ColIdx, wantI.ColIdx) {
+		t.Fatal("budgeted pattern fallback differs from the product's structure")
+	}
 }

@@ -13,24 +13,26 @@ import "unsafe"
 
 const Enabled = true
 
-// OrU32 is the batched OrU32Scalar.
-func OrU32(keys []uint32) uint32 {
+// Or is the batched OrScalar.
+func Or[K Key](keys []K) K {
 	n := len(keys)
 	if n == 0 {
 		return 0
 	}
+	var zk K
+	ksz := unsafe.Sizeof(zk)
 	kp := unsafe.Pointer(&keys[0])
-	var o0, o1, o2, o3, o4, o5, o6, o7 uint32
+	var o0, o1, o2, o3, o4, o5, o6, o7 K
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		o0 |= *(*uint32)(unsafe.Add(kp, uintptr(i)*4))
-		o1 |= *(*uint32)(unsafe.Add(kp, uintptr(i+1)*4))
-		o2 |= *(*uint32)(unsafe.Add(kp, uintptr(i+2)*4))
-		o3 |= *(*uint32)(unsafe.Add(kp, uintptr(i+3)*4))
-		o4 |= *(*uint32)(unsafe.Add(kp, uintptr(i+4)*4))
-		o5 |= *(*uint32)(unsafe.Add(kp, uintptr(i+5)*4))
-		o6 |= *(*uint32)(unsafe.Add(kp, uintptr(i+6)*4))
-		o7 |= *(*uint32)(unsafe.Add(kp, uintptr(i+7)*4))
+		o0 |= *(*K)(unsafe.Add(kp, uintptr(i)*ksz))
+		o1 |= *(*K)(unsafe.Add(kp, uintptr(i+1)*ksz))
+		o2 |= *(*K)(unsafe.Add(kp, uintptr(i+2)*ksz))
+		o3 |= *(*K)(unsafe.Add(kp, uintptr(i+3)*ksz))
+		o4 |= *(*K)(unsafe.Add(kp, uintptr(i+4)*ksz))
+		o5 |= *(*K)(unsafe.Add(kp, uintptr(i+5)*ksz))
+		o6 |= *(*K)(unsafe.Add(kp, uintptr(i+6)*ksz))
+		o7 |= *(*K)(unsafe.Add(kp, uintptr(i+7)*ksz))
 	}
 	or := o0 | o1 | o2 | o3 | o4 | o5 | o6 | o7
 	for ; i < n; i++ {
@@ -39,102 +41,61 @@ func OrU32(keys []uint32) uint32 {
 	return or
 }
 
-// OrPairs is the batched OrPairsScalar.
-func OrPairs(ps []Pair) uint64 {
-	n := len(ps)
-	if n == 0 {
-		return 0
-	}
-	pp := unsafe.Pointer(&ps[0])
-	var o0, o1, o2, o3 uint64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		o0 |= (*Pair)(unsafe.Add(pp, uintptr(i)*16)).Key
-		o1 |= (*Pair)(unsafe.Add(pp, uintptr(i+1)*16)).Key
-		o2 |= (*Pair)(unsafe.Add(pp, uintptr(i+2)*16)).Key
-		o3 |= (*Pair)(unsafe.Add(pp, uintptr(i+3)*16)).Key
-	}
-	or := o0 | o1 | o2 | o3
-	for ; i < n; i++ {
-		or |= ps[i].Key
-	}
-	return or
-}
-
-// HistU32 is the batched HistU32Scalar.
-func HistU32(keys []uint32, shift uint, mask uint32, count *[256]int64) {
+// Hist is the batched HistScalar.
+func Hist[K Key](keys []K, shift uint, mask uint32, count *[256]int64) {
 	n := len(keys)
 	if n == 0 {
 		return
 	}
+	var zk K
+	ksz := unsafe.Sizeof(zk)
+	m := K(mask)
 	kp := unsafe.Pointer(&keys[0])
 	cp := unsafe.Pointer(&count[0])
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		k0 := *(*uint32)(unsafe.Add(kp, uintptr(i)*4))
-		k1 := *(*uint32)(unsafe.Add(kp, uintptr(i+1)*4))
-		k2 := *(*uint32)(unsafe.Add(kp, uintptr(i+2)*4))
-		k3 := *(*uint32)(unsafe.Add(kp, uintptr(i+3)*4))
-		k4 := *(*uint32)(unsafe.Add(kp, uintptr(i+4)*4))
-		k5 := *(*uint32)(unsafe.Add(kp, uintptr(i+5)*4))
-		k6 := *(*uint32)(unsafe.Add(kp, uintptr(i+6)*4))
-		k7 := *(*uint32)(unsafe.Add(kp, uintptr(i+7)*4))
-		*(*int64)(unsafe.Add(cp, uintptr((k0>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k1>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k2>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k3>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k4>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k5>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k6>>shift)&mask)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k7>>shift)&mask)*8))++
+		k0 := *(*K)(unsafe.Add(kp, uintptr(i)*ksz))
+		k1 := *(*K)(unsafe.Add(kp, uintptr(i+1)*ksz))
+		k2 := *(*K)(unsafe.Add(kp, uintptr(i+2)*ksz))
+		k3 := *(*K)(unsafe.Add(kp, uintptr(i+3)*ksz))
+		k4 := *(*K)(unsafe.Add(kp, uintptr(i+4)*ksz))
+		k5 := *(*K)(unsafe.Add(kp, uintptr(i+5)*ksz))
+		k6 := *(*K)(unsafe.Add(kp, uintptr(i+6)*ksz))
+		k7 := *(*K)(unsafe.Add(kp, uintptr(i+7)*ksz))
+		*(*int64)(unsafe.Add(cp, uintptr((k0>>shift)&m)*8))++
+		*(*int64)(unsafe.Add(cp, uintptr((k1>>shift)&m)*8))++
+		*(*int64)(unsafe.Add(cp, uintptr((k2>>shift)&m)*8))++
+		*(*int64)(unsafe.Add(cp, uintptr((k3>>shift)&m)*8))++
+		*(*int64)(unsafe.Add(cp, uintptr((k4>>shift)&m)*8))++
+		*(*int64)(unsafe.Add(cp, uintptr((k5>>shift)&m)*8))++
+		*(*int64)(unsafe.Add(cp, uintptr((k6>>shift)&m)*8))++
+		*(*int64)(unsafe.Add(cp, uintptr((k7>>shift)&m)*8))++
 	}
 	for ; i < n; i++ {
-		count[(keys[i]>>shift)&mask]++
-	}
-}
-
-// HistPairs is the batched HistPairsScalar.
-func HistPairs(ps []Pair, shift uint, count *[256]int64) {
-	n := len(ps)
-	if n == 0 {
-		return
-	}
-	pp := unsafe.Pointer(&ps[0])
-	cp := unsafe.Pointer(&count[0])
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		k0 := (*Pair)(unsafe.Add(pp, uintptr(i)*16)).Key
-		k1 := (*Pair)(unsafe.Add(pp, uintptr(i+1)*16)).Key
-		k2 := (*Pair)(unsafe.Add(pp, uintptr(i+2)*16)).Key
-		k3 := (*Pair)(unsafe.Add(pp, uintptr(i+3)*16)).Key
-		*(*int64)(unsafe.Add(cp, uintptr((k0>>shift)&0xff)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k1>>shift)&0xff)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k2>>shift)&0xff)*8))++
-		*(*int64)(unsafe.Add(cp, uintptr((k3>>shift)&0xff)*8))++
-	}
-	for ; i < n; i++ {
-		count[(ps[i].Key>>shift)&0xff]++
+		count[(keys[i]>>shift)&m]++
 	}
 }
 
 // ScatterKV is the batched ScatterKVScalar.
-func ScatterKV[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
+func ScatterKV[K Key, V any](srcK []K, srcV []V, dstK []K, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
 	n := len(srcK)
 	if n == 0 {
 		return
 	}
+	var zk K
 	var zv V
-	vsz := unsafe.Sizeof(zv)
+	ksz, vsz := unsafe.Sizeof(zk), unsafe.Sizeof(zv)
+	m := K(mask)
 	skp := unsafe.Pointer(&srcK[0])
 	svp := unsafe.Pointer(&srcV[0])
 	dkp := unsafe.Pointer(&dstK[0])
 	dvp := unsafe.Pointer(&dstV[0])
 	cp := unsafe.Pointer(&cursor[0])
 	for i := 0; i < n; i++ {
-		k := *(*uint32)(unsafe.Add(skp, uintptr(i)*4))
-		cb := (*int64)(unsafe.Add(cp, uintptr((k>>shift)&mask)*8))
+		k := *(*K)(unsafe.Add(skp, uintptr(i)*ksz))
+		cb := (*int64)(unsafe.Add(cp, uintptr((k>>shift)&m)*8))
 		c := uintptr(*cb)
-		*(*uint32)(unsafe.Add(dkp, c*4)) = k
+		*(*K)(unsafe.Add(dkp, c*ksz)) = k
 		*(*V)(unsafe.Add(dvp, c*vsz)) = *(*V)(unsafe.Add(svp, uintptr(i)*vsz))
 		*cb = int64(c + 1)
 	}
@@ -158,73 +119,44 @@ func ScatterK(srcK []uint32, dstK []uint32, shift uint, mask uint32, cursor *[25
 	}
 }
 
-// ScatterPairs is the batched ScatterPairsScalar.
-func ScatterPairs(src []Pair, dst []Pair, shift uint, cursor *[256]int64) {
-	n := len(src)
-	if n == 0 {
-		return
-	}
-	sp := unsafe.Pointer(&src[0])
-	dp := unsafe.Pointer(&dst[0])
-	cp := unsafe.Pointer(&cursor[0])
-	for i := 0; i < n; i++ {
-		p := (*Pair)(unsafe.Add(sp, uintptr(i)*16))
-		cb := (*int64)(unsafe.Add(cp, uintptr((p.Key>>shift)&0xff)*8))
-		c := uintptr(*cb)
-		*(*Pair)(unsafe.Add(dp, c*16)) = *p
-		*cb = int64(c + 1)
-	}
-}
-
 // AccumKV is the batched AccumKVScalar. The per-slot additions stay a single
 // sequential chain in arrival order — no reassociation — so the fold is
 // bit-identical to the scalar oracle.
-func AccumKV[V Value](keys []uint32, vals []V, mask uint32, acc *[256]V) {
+func AccumKV[K Key, V Value](keys []K, vals []V, mask uint32, acc *[256]V) {
 	n := len(keys)
 	if n == 0 {
 		return
 	}
+	var zk K
 	var zv V
-	vsz := unsafe.Sizeof(zv)
+	ksz, vsz := unsafe.Sizeof(zk), unsafe.Sizeof(zv)
+	m := K(mask)
 	kp := unsafe.Pointer(&keys[0])
 	vp := unsafe.Pointer(&vals[0])
 	ap := unsafe.Pointer(&acc[0])
 	for i := 0; i < n; i++ {
-		k := *(*uint32)(unsafe.Add(kp, uintptr(i)*4))
-		*(*V)(unsafe.Add(ap, uintptr(k&mask)*vsz)) += *(*V)(unsafe.Add(vp, uintptr(i)*vsz))
-	}
-}
-
-// AccumPairs is the batched AccumPairsScalar.
-func AccumPairs(ps []Pair, acc *[256]float64) {
-	n := len(ps)
-	if n == 0 {
-		return
-	}
-	pp := unsafe.Pointer(&ps[0])
-	ap := unsafe.Pointer(&acc[0])
-	for i := 0; i < n; i++ {
-		p := (*Pair)(unsafe.Add(pp, uintptr(i)*16))
-		*(*float64)(unsafe.Add(ap, uintptr(p.Key&0xff)*8)) += p.Val
+		k := *(*K)(unsafe.Add(kp, uintptr(i)*ksz))
+		*(*V)(unsafe.Add(ap, uintptr(k&m)*vsz)) += *(*V)(unsafe.Add(vp, uintptr(i)*vsz))
 	}
 }
 
 // ExpandKV is the batched ExpandKVScalar.
-func ExpandKV[V Value](dstK []uint32, dstV []V, localRow uint32, cols []int32, bVals []V, av V) {
+func ExpandKV[K Key, V Value](dstK []K, dstV []V, localRow K, cols []int32, bVals []V, av V) {
 	n := len(dstK)
 	if n == 0 {
 		return
 	}
 	_ = cols[n-1]
 	_ = bVals[n-1]
+	var zk K
 	var zv V
-	vsz := unsafe.Sizeof(zv)
+	ksz, vsz := unsafe.Sizeof(zk), unsafe.Sizeof(zv)
 	dkp := unsafe.Pointer(&dstK[0])
 	dvp := unsafe.Pointer(&dstV[0])
 	colp := unsafe.Pointer(&cols[0])
 	bvp := unsafe.Pointer(&bVals[0])
 	for i := 0; i < n; i++ {
-		*(*uint32)(unsafe.Add(dkp, uintptr(i)*4)) = localRow | uint32(*(*int32)(unsafe.Add(colp, uintptr(i)*4)))
+		*(*K)(unsafe.Add(dkp, uintptr(i)*ksz)) = localRow | K(uint32(*(*int32)(unsafe.Add(colp, uintptr(i)*4))))
 		*(*V)(unsafe.Add(dvp, uintptr(i)*vsz)) = av * *(*V)(unsafe.Add(bvp, uintptr(i)*vsz))
 	}
 }
@@ -240,23 +172,5 @@ func ExpandK(dstK []uint32, localRow uint32, cols []int32) {
 	colp := unsafe.Pointer(&cols[0])
 	for i := 0; i < n; i++ {
 		*(*uint32)(unsafe.Add(dkp, uintptr(i)*4)) = localRow | uint32(*(*int32)(unsafe.Add(colp, uintptr(i)*4)))
-	}
-}
-
-// ExpandPairs is the batched ExpandPairsScalar.
-func ExpandPairs(dst []Pair, localRow uint64, cols []int32, bVals []float64, av float64) {
-	n := len(dst)
-	if n == 0 {
-		return
-	}
-	_ = cols[n-1]
-	_ = bVals[n-1]
-	dp := unsafe.Pointer(&dst[0])
-	colp := unsafe.Pointer(&cols[0])
-	bvp := unsafe.Pointer(&bVals[0])
-	for i := 0; i < n; i++ {
-		p := (*Pair)(unsafe.Add(dp, uintptr(i)*16))
-		p.Key = localRow | uint64(uint32(*(*int32)(unsafe.Add(colp, uintptr(i)*4))))
-		p.Val = av * *(*float64)(unsafe.Add(bvp, uintptr(i)*8))
 	}
 }

@@ -10,19 +10,13 @@ const Enabled = false
 
 const level = "purego"
 
-func OrU32(keys []uint32) uint32 { return OrU32Scalar(keys) }
+func Or[K Key](keys []K) K { return OrScalar(keys) }
 
-func OrPairs(ps []Pair) uint64 { return OrPairsScalar(ps) }
-
-func HistU32(keys []uint32, shift uint, mask uint32, count *[256]int64) {
-	HistU32Scalar(keys, shift, mask, count)
+func Hist[K Key](keys []K, shift uint, mask uint32, count *[256]int64) {
+	HistScalar(keys, shift, mask, count)
 }
 
-func HistPairs(ps []Pair, shift uint, count *[256]int64) {
-	HistPairsScalar(ps, shift, count)
-}
-
-func ScatterKV[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
+func ScatterKV[K Key, V any](srcK []K, srcV []V, dstK []K, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
 	ScatterKVScalar(srcK, srcV, dstK, dstV, shift, mask, cursor)
 }
 
@@ -30,26 +24,14 @@ func ScatterK(srcK []uint32, dstK []uint32, shift uint, mask uint32, cursor *[25
 	ScatterKScalar(srcK, dstK, shift, mask, cursor)
 }
 
-func ScatterPairs(src []Pair, dst []Pair, shift uint, cursor *[256]int64) {
-	ScatterPairsScalar(src, dst, shift, cursor)
-}
-
-func AccumKV[V Value](keys []uint32, vals []V, mask uint32, acc *[256]V) {
+func AccumKV[K Key, V Value](keys []K, vals []V, mask uint32, acc *[256]V) {
 	AccumKVScalar(keys, vals, mask, acc)
 }
 
-func AccumPairs(ps []Pair, acc *[256]float64) {
-	AccumPairsScalar(ps, acc)
-}
-
-func ExpandKV[V Value](dstK []uint32, dstV []V, localRow uint32, cols []int32, bVals []V, av V) {
+func ExpandKV[K Key, V Value](dstK []K, dstV []V, localRow K, cols []int32, bVals []V, av V) {
 	ExpandKVScalar(dstK, dstV, localRow, cols, bVals, av)
 }
 
 func ExpandK(dstK []uint32, localRow uint32, cols []int32) {
 	ExpandKScalar(dstK, localRow, cols)
-}
-
-func ExpandPairs(dst []Pair, localRow uint64, cols []int32, bVals []float64, av float64) {
-	ExpandPairsScalar(dst, localRow, cols, bVals, av)
 }

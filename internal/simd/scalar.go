@@ -10,47 +10,33 @@ package simd
 // index count/cursor/acc tables of 256 entries, so mask ≤ 255; cursor values
 // must be valid indices into dst for every element scattered.
 
-// OrU32Scalar returns the bitwise OR of all keys (0 for an empty slice).
-func OrU32Scalar(keys []uint32) uint32 {
-	var or uint32
+// OrScalar returns the bitwise OR of all keys (0 for an empty slice).
+func OrScalar[K Key](keys []K) K {
+	var or K
 	for _, k := range keys {
 		or |= k
 	}
 	return or
 }
 
-// OrPairsScalar returns the bitwise OR of all pair keys.
-func OrPairsScalar(ps []Pair) uint64 {
-	var or uint64
-	for i := range ps {
-		or |= ps[i].Key
-	}
-	return or
-}
-
-// HistU32Scalar counts digit occurrences of (k>>shift)&mask into count.
-func HistU32Scalar(keys []uint32, shift uint, mask uint32, count *[256]int64) {
+// HistScalar counts digit occurrences of (k>>shift)&mask into count.
+func HistScalar[K Key](keys []K, shift uint, mask uint32, count *[256]int64) {
+	m := K(mask)
 	for _, k := range keys {
-		count[(k>>shift)&mask]++
-	}
-}
-
-// HistPairsScalar counts byte-digit occurrences of (Key>>shift)&0xff.
-func HistPairsScalar(ps []Pair, shift uint, count *[256]int64) {
-	for i := range ps {
-		count[(ps[i].Key>>shift)&0xff]++
+		count[(k>>shift)&m]++
 	}
 }
 
 // ScatterKVScalar stably scatters src tuples to dst positions taken from the
 // per-digit cursors, advancing each cursor. Equal-digit elements keep their
 // relative (arrival) order.
-func ScatterKVScalar[V any](srcK []uint32, srcV []V, dstK []uint32, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
+func ScatterKVScalar[K Key, V any](srcK []K, srcV []V, dstK []K, dstV []V, shift uint, mask uint32, cursor *[256]int64) {
+	m := K(mask)
 	for i, k := range srcK {
-		c := cursor[(k>>shift)&mask]
+		c := cursor[(k>>shift)&m]
 		dstK[c] = k
 		dstV[c] = srcV[i]
-		cursor[(k>>shift)&mask] = c + 1
+		cursor[(k>>shift)&m] = c + 1
 	}
 }
 
@@ -63,36 +49,20 @@ func ScatterKScalar(srcK []uint32, dstK []uint32, shift uint, mask uint32, curso
 	}
 }
 
-// ScatterPairsScalar stably scatters 16-byte pairs by byte digit.
-func ScatterPairsScalar(src []Pair, dst []Pair, shift uint, cursor *[256]int64) {
-	for i := range src {
-		b := (src[i].Key >> shift) & 0xff
-		c := cursor[b]
-		dst[c] = src[i]
-		cursor[b] = c + 1
-	}
-}
-
 // AccumKVScalar folds values onto their last-digit accumulator slot in
 // arrival order: acc[k&mask] += v, one sequential chain per slot.
-func AccumKVScalar[V Value](keys []uint32, vals []V, mask uint32, acc *[256]V) {
+func AccumKVScalar[K Key, V Value](keys []K, vals []V, mask uint32, acc *[256]V) {
+	m := K(mask)
 	for i, k := range keys {
-		acc[k&mask] += vals[i]
-	}
-}
-
-// AccumPairsScalar is the pair-layout fold for the last byte digit.
-func AccumPairsScalar(ps []Pair, acc *[256]float64) {
-	for i := range ps {
-		acc[ps[i].Key&0xff] += ps[i].Val
+		acc[k&m] += vals[i]
 	}
 }
 
 // ExpandKVScalar computes one expand chunk: dstK[i] = localRow|cols[i],
 // dstV[i] = av*bVals[i]. cols and bVals must be at least len(dstK) long.
-func ExpandKVScalar[V Value](dstK []uint32, dstV []V, localRow uint32, cols []int32, bVals []V, av V) {
+func ExpandKVScalar[K Key, V Value](dstK []K, dstV []V, localRow K, cols []int32, bVals []V, av V) {
 	for i := range dstK {
-		dstK[i] = localRow | uint32(cols[i])
+		dstK[i] = localRow | K(uint32(cols[i]))
 		dstV[i] = av * bVals[i]
 	}
 }
@@ -101,12 +71,5 @@ func ExpandKVScalar[V Value](dstK []uint32, dstV []V, localRow uint32, cols []in
 func ExpandKScalar(dstK []uint32, localRow uint32, cols []int32) {
 	for i := range dstK {
 		dstK[i] = localRow | uint32(cols[i])
-	}
-}
-
-// ExpandPairsScalar is the wide-layout expand chunk with a 64-bit packed key.
-func ExpandPairsScalar(dst []Pair, localRow uint64, cols []int32, bVals []float64, av float64) {
-	for i := range dst {
-		dst[i] = Pair{Key: localRow | uint64(uint32(cols[i])), Val: av * bVals[i]}
 	}
 }

@@ -2,8 +2,10 @@
 // — expand's key-compute + scatter, the radix sort's counting and stable
 // scatter passes, and the fused accumulate-on-equal-key fold — batched over
 // 8-tuple groups so bounds checks amortize and the compiler sees straight-
-// line ILP. The package is the single dispatch point for hardware-specific
-// code:
+// line ILP. The sort and expand kernels are generic over the key width K
+// (uint32 or uint64): the 16-byte wide layout runs the same kernels as the
+// 12-byte squeezed one, on an 8-byte key plane. The package is the single
+// dispatch point for hardware-specific code:
 //
 //   - Default build (no tags): unsafe-batched pure Go. The loops are written
 //     so each 8-wide group compiles to branchless loads/stores; GOAMD64=v3
@@ -24,16 +26,15 @@
 // Options.DisableBatch) and report the choice on Stats.Kernel.
 package simd
 
-// Pair mirrors radix.Pair (an 8-byte packed key and its float64 value).
-// Declared here so the kernels stay dependency-free; internal/radix converts
-// its identical struct via unsafe.Slice at the call boundary.
-type Pair struct {
-	Key uint64
-	Val float64
+// Key is the element set of the packed-key planes: uint32 for the squeezed,
+// narrow and pattern layouts, uint64 for the wide layout and COO.Dedup's
+// row<<32|col keys. It matches radix.Key.
+type Key interface {
+	~uint32 | ~uint64
 }
 
 // Value is the element set of the value-carrying tuple layouts: float64
-// (squeezed), float32 and int32 (narrow). It matches radix.Numeric.
+// (squeezed and wide), float32 and int32 (narrow). It matches radix.Numeric.
 type Value interface {
 	~float32 | ~float64 | ~int32
 }

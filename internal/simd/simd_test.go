@@ -17,13 +17,17 @@ func genKV(n int, keyBits uint, seed uint64) ([]uint32, []float64) {
 	return keys, vals
 }
 
-func genPairs(n int, seed uint64) []Pair {
+// genKV64 draws 64-bit keys spanning both halves of the word, the wide
+// layout's key plane.
+func genKV64(n int, seed uint64) ([]uint64, []float64) {
 	r := rand.New(rand.NewPCG(seed, seed^0x51ed2701))
-	ps := make([]Pair, n)
-	for i := range ps {
-		ps[i] = Pair{Key: uint64(r.Uint32()), Val: r.Float64()*200 - 100}
+	keys := make([]uint64, n)
+	vals := make([]float64, n)
+	for i := range keys {
+		keys[i] = r.Uint64() >> 8
+		vals[i] = r.Float64()*200 - 100
 	}
-	return ps
+	return keys, vals
 }
 
 // TestBatchedMatchesScalarKernels pins bit-identity of every batched kernel
@@ -32,27 +36,28 @@ func genPairs(n int, seed uint64) []Pair {
 func TestBatchedMatchesScalarKernels(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 7, 8, 9, 63, 64, 65, 1000} {
 		keys, vals := genKV(n, 23, uint64(n)+1)
-		ps := genPairs(n, uint64(n)+2)
+		keys64, vals64 := genKV64(n, uint64(n)+2)
 		const shift, mask = 7, uint32(0xff)
+		const shift64 = 41 // a digit above bit 32
 
-		if got, want := OrU32(keys), OrU32Scalar(keys); got != want {
-			t.Fatalf("n=%d OrU32: %x vs %x", n, got, want)
+		if got, want := Or(keys), OrScalar(keys); got != want {
+			t.Fatalf("n=%d Or: %x vs %x", n, got, want)
 		}
-		if got, want := OrPairs(ps), OrPairsScalar(ps); got != want {
-			t.Fatalf("n=%d OrPairs: %x vs %x", n, got, want)
+		if got, want := Or(keys64), OrScalar(keys64); got != want {
+			t.Fatalf("n=%d Or[uint64]: %x vs %x", n, got, want)
 		}
 
 		var h1, h2 [256]int64
-		HistU32(keys, shift, mask, &h1)
-		HistU32Scalar(keys, shift, mask, &h2)
+		Hist(keys, shift, mask, &h1)
+		HistScalar(keys, shift, mask, &h2)
 		if h1 != h2 {
-			t.Fatalf("n=%d HistU32 mismatch", n)
+			t.Fatalf("n=%d Hist mismatch", n)
 		}
 		var hp1, hp2 [256]int64
-		HistPairs(ps, shift, &hp1)
-		HistPairsScalar(ps, shift, &hp2)
+		Hist(keys64, shift64, mask, &hp1)
+		HistScalar(keys64, shift64, mask, &hp2)
 		if hp1 != hp2 {
-			t.Fatalf("n=%d HistPairs mismatch", n)
+			t.Fatalf("n=%d Hist[uint64] mismatch", n)
 		}
 
 		// Scatter: build cursors from the histogram, run both, compare.
@@ -87,12 +92,16 @@ func TestBatchedMatchesScalarKernels(t *testing.T) {
 			}
 		}
 		cp1, cp2 := mkCursor(&hp1), mkCursor(&hp1)
-		dp1, dp2 := make([]Pair, n), make([]Pair, n)
-		ScatterPairs(ps, dp1, shift, &cp1)
-		ScatterPairsScalar(ps, dp2, shift, &cp2)
-		for i := range dp1 {
-			if dp1[i] != dp2[i] {
-				t.Fatalf("n=%d ScatterPairs[%d]: %+v vs %+v", n, i, dp1[i], dp2[i])
+		dpk1, dpv1 := make([]uint64, n), make([]float64, n)
+		dpk2, dpv2 := make([]uint64, n), make([]float64, n)
+		ScatterKV(keys64, vals64, dpk1, dpv1, shift64, mask, &cp1)
+		ScatterKVScalar(keys64, vals64, dpk2, dpv2, shift64, mask, &cp2)
+		if cp1 != cp2 {
+			t.Fatalf("n=%d ScatterKV[uint64] cursors mismatch", n)
+		}
+		for i := range dpk1 {
+			if dpk1[i] != dpk2[i] || dpv1[i] != dpv2[i] {
+				t.Fatalf("n=%d ScatterKV[uint64][%d]: (%d,%v) vs (%d,%v)", n, i, dpk1[i], dpv1[i], dpk2[i], dpv2[i])
 			}
 		}
 
@@ -103,10 +112,10 @@ func TestBatchedMatchesScalarKernels(t *testing.T) {
 			t.Fatalf("n=%d AccumKV mismatch", n)
 		}
 		var ap1, ap2 [256]float64
-		AccumPairs(ps, &ap1)
-		AccumPairsScalar(ps, &ap2)
+		AccumKV(keys64, vals64, mask, &ap1)
+		AccumKVScalar(keys64, vals64, mask, &ap2)
 		if ap1 != ap2 {
-			t.Fatalf("n=%d AccumPairs mismatch", n)
+			t.Fatalf("n=%d AccumKV[uint64] mismatch", n)
 		}
 
 		cols := make([]int32, n)
@@ -130,12 +139,13 @@ func TestBatchedMatchesScalarKernels(t *testing.T) {
 				t.Fatalf("n=%d ExpandK[%d] mismatch", n, i)
 			}
 		}
-		ep1, ep2 := make([]Pair, n), make([]Pair, n)
-		ExpandPairs(ep1, uint64(localRow)<<10, cols, vals, 3.25)
-		ExpandPairsScalar(ep2, uint64(localRow)<<10, cols, vals, 3.25)
-		for i := range ep1 {
-			if ep1[i] != ep2[i] {
-				t.Fatalf("n=%d ExpandPairs[%d] mismatch", n, i)
+		epk1, epv1 := make([]uint64, n), make([]float64, n)
+		epk2, epv2 := make([]uint64, n), make([]float64, n)
+		ExpandKV(epk1, epv1, uint64(localRow)<<20, cols, vals, 3.25)
+		ExpandKVScalar(epk2, epv2, uint64(localRow)<<20, cols, vals, 3.25)
+		for i := range epk1 {
+			if epk1[i] != epk2[i] || epv1[i] != epv2[i] {
+				t.Fatalf("n=%d ExpandKV[uint64][%d] mismatch", n, i)
 			}
 		}
 	}
