@@ -11,7 +11,6 @@ import (
 	"pbspgemm/internal/kernel"
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/par"
-	"pbspgemm/internal/semiring"
 )
 
 // Engine is a concurrency-safe multiplication service: a sync.Pool of
@@ -239,12 +238,13 @@ func (e *Engine) MultiplyMasked(ctx context.Context, a, b, mask *CSR, opts ...Op
 		return nil, err
 	}
 	start := time.Now()
-	c, err := e.maskedFloat64(&cfg, a, b)
-	var nnzc int64
+	res, _, _, err := e.multiply(&cfg, a, b)
+	var c *CSR
+	var flops, nnzc int64
 	if err == nil {
-		nnzc = c.NNZ()
+		c, flops, nnzc = res.C, res.Flops, res.C.NNZ()
 	}
-	e.record(start, PB, false, flopsNoAlloc(a, b), a.NNZ(), b.NNZ(), nnzc, err)
+	e.record(start, PB, false, flops, a.NNZ(), b.NNZ(), nnzc, err)
 	return c, err
 }
 
@@ -270,21 +270,13 @@ func (e *Engine) release(ws *kernel.Workspace, err error) {
 // first runs the roofline planner, then the chosen kernel multiplies on a
 // pooled workspace and the result is cloned out before the workspace
 // returns to the pool. It reports the executed algorithm (and whether the
-// planner chose it) for the per-algorithm metrics.
+// planner chose it) for the per-algorithm metrics. A masked call always
+// runs PB, whose tuple layouts filter each folded bin by the mask.
 func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, error) {
-	if cfg.mask != nil {
-		start := time.Now()
-		c, err := e.maskedFloat64(cfg, a, b)
-		if err != nil {
-			return nil, PB, false, err
-		}
-		res := &Result{C: c, Algorithm: PB, Flops: flopsNoAlloc(a, b), Elapsed: time.Since(start)}
-		if nnz := c.NNZ(); nnz > 0 {
-			res.CF = float64(res.Flops) / float64(nnz)
-		}
-		return res, PB, false, nil
-	}
 	alg := cfg.algorithm
+	if cfg.mask != nil {
+		alg = PB
+	}
 	var plan *Plan
 	ws := e.pool.Get().(*kernel.Workspace)
 	if alg == Auto {
@@ -311,6 +303,8 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 		LocalBinBytes:     cfg.localBin,
 		L2CacheBytes:      cfg.l2Cache,
 		MemoryBudgetBytes: cfg.budget,
+		Mask:              cfg.mask,
+		Complement:        cfg.complement,
 	})
 	if err != nil {
 		e.release(ws, err)
@@ -338,27 +332,13 @@ func (e *Engine) multiply(cfg *config, a, b *CSR) (*Result, Algorithm, bool, err
 	return res, alg, plan != nil, nil
 }
 
-// maskedFloat64 is the masked arithmetic path on a pooled workspace.
-func (e *Engine) maskedFloat64(cfg *config, a, b *CSR) (*CSR, error) {
-	ws := e.pool.Get().(*kernel.Workspace)
-	cw := ws.Core
-	gc, err := semiring.MultiplyOpts(Arithmetic(), colView(cw.CSCOf(a)), Float64Matrix(b), cfg.semiringOptions(cw))
-	if err != nil {
-		e.release(ws, err)
-		return nil, err
-	}
-	c := Float64CSR(gc.Clone())
-	e.pool.Put(ws)
-	return c, nil
-}
-
 // EngineMultiplyOver is MultiplyOver running on an engine: the semiring
 // multiplication checks a pooled workspace out of e, observes ctx at phase
 // boundaries, and folds into e's metrics. (Go methods cannot introduce type
 // parameters, hence the package-level function taking the engine first.)
-// The result is cloned out of the workspace and fully caller-owned. Pooled
-// generic buffers are cached per element type T, so an engine serving a
-// stable T hits its pool just like the float64 path.
+// The result is cloned out of the workspace and fully caller-owned. The
+// ring layout's pooled value planes are cached per element type T, so an
+// engine serving a stable T hits its pool just like the float64 path.
 func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(e.defaults, opts)
 	if err != nil {
@@ -378,7 +358,7 @@ func EngineMultiplyOver[T any](e *Engine, ctx context.Context, sr Semiring[T], a
 	}
 	start := time.Now()
 	ws := e.pool.Get().(*kernel.Workspace)
-	gc, err := semiring.MultiplyOpts(sr, a, b, cfg.semiringOptions(ws.Core))
+	gc, err := multiplyOver(&cfg, sr, a, b, ws.Core)
 	var out *Matrix[T]
 	var nnzc int64
 	if err == nil {
@@ -401,8 +381,8 @@ func (c *config) validateMaskShape(rows, cols int32) error {
 }
 
 // flopsNoAlloc is the symbolic flop count of a product — one pass over A's
-// column indices against B's row pointers, no per-call allocation. The
-// masked paths' metrics and the Auto planner both use it.
+// column indices against B's row pointers, no per-call allocation, for the
+// Auto planner.
 func flopsNoAlloc(a, b *CSR) int64 {
 	var flops int64
 	for _, k := range a.ColIdx {

@@ -145,7 +145,7 @@ func TestEngineContextCancellation(t *testing.T) {
 
 // TestWithSemiringPlanReporting: the public option surfaces the typed
 // fast-path dispatch — Boolean rides the 4-byte pattern layout, while a
-// semiring with no typed kernel reports a reasoned generic fallback.
+// semiring with no typed kernel reports the ring layout with a reason.
 func TestWithSemiringPlanReporting(t *testing.T) {
 	a := NewER(256, 4, 1)
 	b := NewER(256, 4, 2)
@@ -163,8 +163,8 @@ func TestWithSemiringPlanReporting(t *testing.T) {
 		WithSemiringPlan(&p)); err != nil {
 		t.Fatal(err)
 	}
-	if p.FastPath || p.Reason == "" {
-		t.Fatalf("min-plus plan = %+v, want reasoned fallback", p)
+	if p.FastPath || p.Layout != LayoutRing || p.Reason == "" {
+		t.Fatalf("min-plus plan = %+v, want the ring layout with a reason", p)
 	}
 }
 

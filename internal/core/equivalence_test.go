@@ -1,8 +1,8 @@
 package core_test
 
 // Cross-implementation equivalence: PB-SpGEMM (internal/core) against the
-// hash-accumulator column SpGEMM baseline, and the generic semiring engine
-// instantiated with arithmetic against the tuned float64 kernel — on
+// hash-accumulator column SpGEMM baseline, and the semiring dispatch over
+// arithmetic (typed and ring layouts) against the tuned float64 kernel — on
 // randomized ER and R-MAT inputs, seeded and table-driven, through both the
 // unbudgeted and the memory-budgeted execution paths.
 
@@ -107,11 +107,14 @@ func TestEquivalenceMatrixFusedRow(t *testing.T) {
 	}
 }
 
-// TestSemiringArithmeticMatchesCore checks the generic engine over the
-// arithmetic semiring against the tuned float64 kernel, across the same
+// TestSemiringArithmeticMatchesCore checks the semiring dispatch over the
+// arithmetic semiring — the stock one (typed layout) and a caller-assembled
+// (+, ×) (ring layout) — against the tuned float64 kernel, across the same
 // table and both execution paths, with and without a shared workspace.
 func TestSemiringArithmeticMatchesCore(t *testing.T) {
-	sr := semiring.Arithmetic()
+	custom := semiring.Semiring[float64]{Name: "custom(+,*)",
+		Plus:  func(a, b float64) float64 { return a + b },
+		Times: func(a, b float64) float64 { return a * b }}
 	ws := core.NewWorkspace()
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,22 +125,24 @@ func TestSemiringArithmeticMatchesCore(t *testing.T) {
 			}
 			ga := semiring.FromCSR(tc.a, func(v float64) float64 { return v }).ToCSC()
 			gb := semiring.FromCSR(tc.b, func(v float64) float64 { return v })
-			for _, opt := range []semiring.Options{
-				{},
-				{MemoryBudgetBytes: 16 << 10},
-				{Workspace: ws},
-				{Workspace: ws, MemoryBudgetBytes: 16 << 10},
-			} {
-				gc, err := semiring.MultiplyOpts(sr, ga, gb, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := gc.Validate(); err != nil {
-					t.Fatalf("opt %+v: %v", opt, err)
-				}
-				got := gc.ToCSR(func(v float64) float64 { return v })
-				if !matrix.Equal(want, got, 1e-9) {
-					t.Fatalf("semiring arithmetic (opt %+v) differs from core kernel", opt)
+			for _, sr := range []semiring.Semiring[float64]{semiring.Arithmetic(), custom} {
+				for _, opt := range []core.Options{
+					{},
+					{MemoryBudgetBytes: 16 << 10},
+					{Workspace: ws},
+					{Workspace: ws, MemoryBudgetBytes: 16 << 10},
+				} {
+					gc, _, err := semiring.MultiplyOpts(sr, ga, gb, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := gc.Validate(); err != nil {
+						t.Fatalf("%s opt %+v: %v", sr.Name, opt, err)
+					}
+					got := gc.ToCSR(func(v float64) float64 { return v })
+					if !matrix.Equal(want, got, 1e-9) {
+						t.Fatalf("semiring %s (opt %+v) differs from core kernel", sr.Name, opt)
+					}
 				}
 			}
 		})
@@ -153,11 +158,11 @@ func TestSemiringBudgetedMinPlusBitIdentical(t *testing.T) {
 	d := gen.ER(400, 5, 77)
 	gd := semiring.FromCSR(d, func(v float64) float64 { return v })
 	ga := gd.ToCSC()
-	want, err := semiring.MultiplyOpts(sr, ga, gd, semiring.Options{})
+	want, _, err := semiring.MultiplyOpts(sr, ga, gd, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := semiring.MultiplyOpts(sr, ga, gd, semiring.Options{MemoryBudgetBytes: 8 << 10})
+	got, _, err := semiring.MultiplyOpts(sr, ga, gd, core.Options{MemoryBudgetBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

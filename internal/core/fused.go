@@ -192,16 +192,13 @@ func (e *engine) runSortTask(worker int, t sortTask, spawn func(sortTask),
 	}
 }
 
-// fuseWholeBin runs the fused sort+fold over one bin and tallies its row
-// counts (when rowCounts is non-nil; the budgeted path defers tallies to the
-// merge). The folded prefix lands at the bin's own binStart offset, exactly
-// where compressBin would leave it.
+// fuseWholeBin runs the fused sort+fold over one bin, then masks it and
+// tallies its row counts (foldedBin; rowCounts is nil on the budgeted path,
+// which tallies in the merge). The folded prefix lands at the bin's own
+// binStart offset, exactly where compressBin would leave it.
 func (e *engine) fuseWholeBin(worker, bin int, binOut, rowCounts []int64) {
 	bs := e.ws.binStart
-	lo, hi := bs[bin], bs[bin+1]
-	n := e.lay.fuseBin(e, worker, lo, hi)
-	binOut[bin] = n
-	e.tallyRows(lo, n, rowCounts, bin)
+	e.foldedBin(bin, e.lay.fuseBin(e, worker, bs[bin], bs[bin+1]), binOut, rowCounts)
 }
 
 // countMergeBins is the counting half of the fused k-way merge: per bin, a

@@ -19,26 +19,33 @@ import (
 // tuple layout is a layoutOps implementation; the engine holds exactly one
 // per run (e.lay) and every phase dispatches element accesses through it
 // while all control flow — bin geometry, panel tiling, the work-stealing
-// sort scheduler, the budgeted merge plan — stays layout-independent, which
-// is what makes the four layouts bit-identical in structure.
+// sort scheduler, the budgeted merge plan, the structural mask — stays
+// layout-independent, which is what makes the layouts bit-identical in
+// structure.
 //
-// The two implementations:
+// The implementations:
 //
-//   - kv[K, V]: a key plane plus a parallel value plane. kv[uint32, float64]
-//     is the 12-byte squeezed layout, kv[uint32, float32|int32] the 8-byte
-//     narrow one and kv[uint64, float64] the 16-byte wide one — the same
-//     (key, value) tuple with an 8-byte key, for geometries whose packed key
-//     needs more than 32 bits. Key planes live in the Workspace, shared by
+//   - planes[K, V]: a key plane plus a parallel value plane, and every move
+//     that does not look at a value (grow, sort, partition, append a run,
+//     unpack, touch, mask). Key planes live in the Workspace, shared by
 //     every layout of one key width (keyPlanes); only the value planes are
 //     V-typed.
+//   - kv[K, V]: planes plus the (+, ×) arithmetic. kv[uint32, float64] is
+//     the 12-byte squeezed layout, kv[uint32, float32|int32] the 8-byte
+//     narrow one and kv[uint64, float64] the 16-byte wide one — the same
+//     (key, value) tuple with an 8-byte key, for geometries whose packed key
+//     needs more than 32 bits.
+//   - ring[K, T] (ring.go): planes plus a semiring's Plus/Times funcs, for
+//     every product no typed layout serves: custom semirings, stored-false
+//     booleans, and narrow/pattern geometries whose key needs 64 bits.
 //   - patternOps: bare uint32 keys, 4 bytes per tuple; the fold is
 //     deduplication and the result CSR carries no Val array.
 //
 // Phases that read only keys (row tallies, the fused merge's counting walk)
 // go through e.keys, the active key width's keyPlanes, instead of through
-// the layout. patternOps is zero-size and the kv and keyPlanes values are
-// reached by pointer into the Workspace, so rebinding e.lay and e.keys per
-// call allocates nothing.
+// the layout. patternOps is zero-size and the kv, ring and keyPlanes values
+// are reached by pointer into the Workspace, so rebinding e.lay and e.keys
+// per call allocates nothing.
 
 // Value is the set of element types a value-carrying tuple layout can move:
 // the float64 of the 12-byte squeezed layout plus the 4-byte types of the
@@ -105,6 +112,9 @@ type layoutOps interface {
 	// growOut installs the result's value storage (c.Val for the float64
 	// layouts, the layout's out plane for narrow, nothing for pattern).
 	growOut(e *engine, c *matrix.CSR, nnzc int64)
+	// maskBin applies Options.Mask to the folded bin segment [lo, lo+n)
+	// in place, returning the kept count (maskKeys).
+	maskBin(e *engine, lo, n int64, bin int) int64
 	// touchRange first-touches the tuple storage of range [lo, hi) (one
 	// store per page of every plane the layout writes there) so NUMA
 	// first-touch placement lands the pages on the calling thread's node.
@@ -154,6 +164,38 @@ func tallyKeys[K radix.Key](e *engine, keys []K, rowCounts []int64, bin int) {
 	}
 }
 
+// maskKeys is the structural mask (Options.Mask): it keeps the tuples of a
+// folded, sorted bin segment whose position the mask stores (or, under
+// Complement, does not), compacting keys and vals (nil for pattern) in
+// place with one linear merge against the mask's rows, and returns the
+// kept count.
+func maskKeys[K radix.Key, V any](e *engine, keys []K, vals []V, bin int) int64 {
+	m, complement := e.opt.Mask, e.opt.Complement
+	firstRow := int32(int64(bin) << e.rowShift)
+	cb := e.colBits
+	cm := K(1)<<cb - 1
+	var w int64
+	for i := 0; i < len(keys); {
+		rk := keys[i] >> cb
+		row := firstRow + int32(rk)
+		mp, mEnd := m.RowPtr[row], m.RowPtr[row+1]
+		for ; i < len(keys) && keys[i]>>cb == rk; i++ {
+			col := int32(keys[i] & cm)
+			for mp < mEnd && m.ColIdx[mp] < col {
+				mp++
+			}
+			if (mp < mEnd && m.ColIdx[mp] == col) != complement {
+				keys[w] = keys[i]
+				if vals != nil {
+					vals[w] = vals[i]
+				}
+				w++
+			}
+		}
+	}
+	return w
+}
+
 // runGroup returns the ids of bin's runs in panel order.
 func (e *engine) runGroup(bin int) []int32 {
 	return e.ws.runIdx[e.ws.runIdxStart[bin]:e.ws.runIdxStart[bin+1]]
@@ -196,16 +238,18 @@ func workerSlice[T any](plane []T, e *engine, w int, n int64) []T {
 	return plane[off : off+n]
 }
 
-// kvOf returns the workspace's pooled narrow layout state for value type V,
-// creating it on first use. The slot holds one V at a time: alternating
-// value types across calls on one workspace reallocates, a stable one reuses.
-func kvOf[V Value32](ws *Workspace) *kv[uint32, V] {
-	if l, ok := ws.kvNarrow.(*kv[uint32, V]); ok {
-		return l
+// pooled returns the *P a type-erased workspace slot holds (the narrow
+// layout's kv for its value type, the ring layout's pool for its element
+// type), creating it on first use. A slot holds one type at a time:
+// alternating types across calls on one workspace reallocates, a stable one
+// reuses.
+func pooled[P any](slot *any) *P {
+	if p, ok := (*slot).(*P); ok {
+		return p
 	}
-	l := &kv[uint32, V]{}
-	ws.kvNarrow = l
-	return l
+	p := new(P)
+	*slot = p
+	return p
 }
 
 // bindKV binds a kv layout to its key planes and the call's input value
@@ -215,8 +259,9 @@ func bindKV[K radix.Key, V Value](l *kv[K, V], kp *keyPlanes[K], aVal, bVal []V)
 	return l
 }
 
-// bindLayout installs e.lay and e.keys for the layout planBins chose. The
-// narrow entry pre-binds its typed kv (carrying the caller's value planes);
+// bindLayout installs e.lay and e.keys for the layout and key width
+// planBins chose. The narrow entry pre-binds its typed kv (carrying the
+// caller's value planes) and the ring entry its pool of both key widths;
 // everything else resolves here.
 func (e *engine) bindLayout() {
 	ws := e.ws
@@ -227,18 +272,24 @@ func (e *engine) bindLayout() {
 		e.lay = bindKV(&ws.kvWide, &ws.keys64, e.a.Val, e.b.Val)
 	case LayoutPattern:
 		e.lay = patternOps{}
+	case LayoutRing:
+		e.lay = e.ring.pick(e.wideKeys)
 	case LayoutNarrow:
 		// MultiplyNarrow bound e.lay before run().
 	}
 	e.keys = &ws.keys32
-	if e.layout == LayoutWide {
+	if e.wideKeys {
 		e.keys = &ws.keys64
 	}
 }
 
-// dropInputs clears the float64 layouts' input bindings so a pooled
-// workspace does not pin caller memory.
-func (ws *Workspace) dropInputs() {
+// dropInputs clears the engine's and the float64 layouts' references to the
+// call's inputs so a pooled workspace does not pin caller memory (the narrow
+// and ring entries clear their own bindings).
+func (e *engine) dropInputs() {
+	e.a, e.b, e.st, e.lay, e.keys, e.ring = nil, nil, nil, nil, nil, nil
+	e.opt.Mask = nil
+	ws := e.ws
 	ws.kvF64.aVal, ws.kvF64.bVal = nil, nil
 	ws.kvWide.aVal, ws.kvWide.bVal = nil, nil
 }
@@ -249,8 +300,9 @@ func (ws *Workspace) dropInputs() {
 // expand and sort phases — and the fused fold degenerates to deduplication.
 // Neither A's nor B's Val arrays are read (they may be nil). The pattern
 // layout requires the packed key to fit 32 bits; a geometry with
-// localRowBits + colBits > 32 fails with ErrKeyWidth (use Key32Fits to
-// pre-check). Options.ForceLayout is ignored: the entry point is the layout.
+// localRowBits + colBits > 32 fails with ErrKeyWidth before a tuple is
+// expanded (internal/semiring then runs the ring layout). Options.ForceLayout
+// is ignored: the entry point is the layout.
 func MultiplyPattern(a *matrix.CSC, b *matrix.CSR, opt Options) (*matrix.CSR, *Stats, error) {
 	opt = opt.withDefaults()
 	e, err := newEngine(a, b, opt, LayoutPattern)
@@ -277,7 +329,7 @@ func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	l := bindKV(kvOf[V](e.ws), &e.ws.keys32, aVal, bVal)
+	l := bindKV(pooled[kv[uint32, V]](&e.ws.kvNarrow), &e.ws.keys32, aVal, bVal)
 	e.lay = l
 	c, st, err := e.runContained()
 	vals := l.out
@@ -289,11 +341,14 @@ func MultiplyNarrow[V Value32](a *matrix.CSC, aVal []V, b *matrix.CSR, bVal []V,
 }
 
 // ---------------------------------------------------------------------------
-// kv[K, V]: a key plane plus a V value plane (squeezed, narrow and wide).
+// planes[K, V]: a key plane plus a V value plane, and the moves over them.
 
-// kv holds one layout's value planes, pooled grow-only, and a pointer to
-// the Workspace's key planes of its key width K.
-type kv[K radix.Key, V Value] struct {
+// planes is the value-agnostic half of the key+value layouts: a pointer to
+// the Workspace's key planes of width K plus the layout's own value planes,
+// pooled grow-only, and every phase step that only moves tuples — grow,
+// sort and partition, append a run, unpack, touch, mask. kv adds the (+, ×)
+// arithmetic on top, ring the semiring's Plus/Times.
+type planes[K radix.Key, V any] struct {
 	keys *keyPlanes[K]
 
 	tupleVals   []V
@@ -312,29 +367,101 @@ type kv[K radix.Key, V Value] struct {
 
 // tupleCapBytes reports the value plane's pooled capacity; Workspace
 // .TupleCapBytes adds it to the shared key planes'.
-func (l *kv[K, V]) tupleCapBytes() int64 {
+func (l *planes[K, V]) tupleCapBytes() int64 {
 	var v V
 	return int64(cap(l.tupleVals)) * int64(unsafe.Sizeof(v))
 }
 
-func (l *kv[K, V]) growTuples(e *engine, n int64) {
+func (l *planes[K, V]) growTuples(e *engine, n int64) {
 	radix.Grow(&l.keys.tuple, n)
 	radix.Grow(&l.tupleVals, n)
 }
 
-func (l *kv[K, V]) growLocals(e *engine, n int64) {
+func (l *planes[K, V]) growLocals(e *engine, n int64) {
 	radix.Grow(&l.keys.local, n)
 	radix.Grow(&l.localVals, n)
 }
 
-func (l *kv[K, V]) resetRuns(e *engine) {
+func (l *planes[K, V]) resetRuns(e *engine) {
 	l.keys.run = l.keys.run[:0]
 	l.runVals = l.runVals[:0]
 }
 
-func (l *kv[K, V]) growScratch(e *engine, total int64) {
+func (l *planes[K, V]) growScratch(e *engine, total int64) {
 	radix.Grow(&l.keys.scratch, total)
 	radix.Grow(&l.scratchVals, total)
+}
+
+// scratchFor returns worker w's private n-long slices of the sort scratch
+// planes.
+func (l *planes[K, V]) scratchFor(e *engine, w int, n int64) ([]K, []V) {
+	return workerSlice(l.keys.scratch, e, w, n), workerSlice(l.scratchVals, e, w, n)
+}
+
+func (l *planes[K, V]) sortSeg(e *engine, s sortSeg) {
+	keys := l.keys.tuple[s.start:s.end]
+	vals := l.tupleVals[s.start:s.end]
+	auxK, auxV := l.scratchFor(e, s.worker, s.end-s.start)
+	if s.arg < 0 {
+		radix.SortScratch(keys, vals, auxK, auxV, e.batch)
+	} else {
+		radix.SortBitsScratch(keys, vals, auxK, auxV, s.arg, e.batch)
+	}
+}
+
+func (l *planes[K, V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
+	auxK, auxV := l.scratchFor(e, worker, hi-lo)
+	return radix.PartitionTopScratch(l.keys.tuple[lo:hi], l.tupleVals[lo:hi], auxK, auxV, bounds, e.batch)
+}
+
+func (l *planes[K, V]) appendRun(e *engine, src, n int64) {
+	l.keys.run = append(l.keys.run, l.keys.tuple[src:src+n]...)
+	l.runVals = append(l.runVals, l.tupleVals[src:src+n]...)
+}
+
+func (l *planes[K, V]) growMerged(e *engine, n int64) {
+	radix.Grow(&l.keys.merged, n)
+	radix.Grow(&l.mergedVals, n)
+}
+
+func (l *planes[K, V]) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
+	keys, vals := l.keys.tuple, l.tupleVals
+	if merged {
+		keys, vals = l.keys.merged, l.mergedVals
+	}
+	cm := K(1)<<e.colBits - 1
+	out := l.out
+	for j := int64(0); j < n; j++ {
+		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
+		out[dstOff+j] = vals[srcOff+j]
+	}
+}
+
+func (l *planes[K, V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
+	if e.shared {
+		l.out = radix.Grow(&l.outVal, nnzc)
+	} else {
+		l.out = make([]V, nnzc)
+	}
+}
+
+func (l *planes[K, V]) touchRange(e *engine, lo, hi int64) {
+	touchPages(l.keys.tuple[lo:hi])
+	touchPages(l.tupleVals[lo:hi])
+}
+
+// maskBin applies Options.Mask to the folded bin segment at [lo, lo+n).
+func (l *planes[K, V]) maskBin(e *engine, lo, n int64, bin int) int64 {
+	return maskKeys(e, l.keys.tuple[lo:lo+n], l.tupleVals[lo:lo+n], bin)
+}
+
+// ---------------------------------------------------------------------------
+// kv[K, V]: the (+, ×) layouts — squeezed, narrow and wide.
+
+// kv is planes plus the arithmetic phases: the batched expand multiplies
+// with ×, and the fused sort, compress and merges fold with +.
+type kv[K radix.Key, V Value] struct {
+	planes[K, V]
 }
 
 // expandRange is one worker's share of expandPanel: the panel columns
@@ -458,28 +585,6 @@ func flushLocalKV[K radix.Key, V Value](bin int32, bufK []K, bufV []V, lens []in
 	}
 }
 
-// scratchFor returns worker w's private n-long slices of the sort scratch
-// planes.
-func (l *kv[K, V]) scratchFor(e *engine, w int, n int64) ([]K, []V) {
-	return workerSlice(l.keys.scratch, e, w, n), workerSlice(l.scratchVals, e, w, n)
-}
-
-func (l *kv[K, V]) sortSeg(e *engine, s sortSeg) {
-	keys := l.keys.tuple[s.start:s.end]
-	vals := l.tupleVals[s.start:s.end]
-	auxK, auxV := l.scratchFor(e, s.worker, s.end-s.start)
-	if s.arg < 0 {
-		radix.SortScratch(keys, vals, auxK, auxV, e.batch)
-	} else {
-		radix.SortBitsScratch(keys, vals, auxK, auxV, s.arg, e.batch)
-	}
-}
-
-func (l *kv[K, V]) partitionTop(e *engine, worker int, lo, hi int64, bounds []int64) (int, int) {
-	auxK, auxV := l.scratchFor(e, worker, hi-lo)
-	return radix.PartitionTopScratch(l.keys.tuple[lo:hi], l.tupleVals[lo:hi], auxK, auxV, bounds, e.batch)
-}
-
 func (l *kv[K, V]) fuseBin(e *engine, worker int, lo, hi int64) int64 {
 	auxK, auxV := l.scratchFor(e, worker, hi-lo)
 	return radix.SortFusedScratch(l.keys.tuple[lo:hi], l.tupleVals[lo:hi], auxK, auxV, e.batch)
@@ -505,16 +610,6 @@ func (l *kv[K, V]) compressBin(e *engine, lo, hi int64) int64 {
 		vals[p2] = vals[p1]
 	}
 	return int64(p2 + 1)
-}
-
-func (l *kv[K, V]) appendRun(e *engine, src, n int64) {
-	l.keys.run = append(l.keys.run, l.keys.tuple[src:src+n]...)
-	l.runVals = append(l.runVals, l.tupleVals[src:src+n]...)
-}
-
-func (l *kv[K, V]) growMerged(e *engine, n int64) {
-	radix.Grow(&l.keys.merged, n)
-	radix.Grow(&l.mergedVals, n)
 }
 
 // mergeBin merges one bin's sorted, duplicate-free runs into the merged
@@ -595,32 +690,6 @@ func (l *kv[K, V]) emitMergeBin(e *engine, c *matrix.CSR, binOutStart []int64, w
 			}
 		}
 	}
-}
-
-func (l *kv[K, V]) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOff, n int64) {
-	keys, vals := l.keys.tuple, l.tupleVals
-	if merged {
-		keys, vals = l.keys.merged, l.mergedVals
-	}
-	cm := K(1)<<e.colBits - 1
-	out := l.out
-	for j := int64(0); j < n; j++ {
-		c.ColIdx[dstOff+j] = int32(keys[srcOff+j] & cm)
-		out[dstOff+j] = vals[srcOff+j]
-	}
-}
-
-func (l *kv[K, V]) growOut(e *engine, c *matrix.CSR, nnzc int64) {
-	if e.shared {
-		l.out = radix.Grow(&l.outVal, nnzc)
-	} else {
-		l.out = make([]V, nnzc)
-	}
-}
-
-func (l *kv[K, V]) touchRange(e *engine, lo, hi int64) {
-	touchPages(l.keys.tuple[lo:hi])
-	touchPages(l.tupleVals[lo:hi])
 }
 
 // ---------------------------------------------------------------------------
@@ -849,6 +918,10 @@ func (patternOps) unpackBin(e *engine, c *matrix.CSR, merged bool, srcOff, dstOf
 
 func (patternOps) growOut(e *engine, c *matrix.CSR, nnzc int64) {
 	// Pattern results are structural: c.Val stays nil by design.
+}
+
+func (patternOps) maskBin(e *engine, lo, n int64, bin int) int64 {
+	return maskKeys[uint32, struct{}](e, e.ws.keys32.tuple[lo:lo+n], nil, bin)
 }
 
 func (patternOps) touchRange(e *engine, lo, hi int64) { touchPages(e.ws.keys32.tuple[lo:hi]) }

@@ -88,6 +88,11 @@ const (
 	// CSR has no Val array. Only the MultiplyPattern entry runs it, under the
 	// same ≤ 32-bit key requirement.
 	LayoutPattern
+	// LayoutRing is the semiring layout: a uint32 or uint64 key plane plus a
+	// value plane of the semiring's element type, folded with its Plus and
+	// Times funcs. Only the MultiplyRing entry runs it, at any key width; its
+	// per-tuple cost depends on the element type (Stats.TupleBytes).
+	LayoutRing
 )
 
 func (l Layout) String() string {
@@ -102,6 +107,8 @@ func (l Layout) String() string {
 		return "narrow"
 	case LayoutPattern:
 		return "pattern"
+	case LayoutRing:
+		return "ring"
 	}
 	return fmt.Sprintf("Layout(%d)", int8(l))
 }
@@ -122,7 +129,8 @@ const (
 )
 
 // TupleBytes returns the per-tuple byte cost of a concrete layout (0 for
-// LayoutAuto, which is a request, not a layout).
+// LayoutAuto, which is a request, not a layout, and for LayoutRing, whose
+// cost depends on the element type and is reported on Stats.TupleBytes).
 func (l Layout) TupleBytes() int64 {
 	switch l {
 	case LayoutWide:
@@ -186,6 +194,14 @@ type Options struct {
 	// falls back to wide otherwise (keys are never truncated). Stats.Layout
 	// reports the layout actually used.
 	ForceLayout Layout
+	// Mask, if non-nil, keeps only the positions Mask stores (GraphBLAS
+	// C⟨M⟩; its values are ignored). Every layout filters each folded bin
+	// before row tallies and runs, so the kept values are bit-identical to
+	// the unmasked product's. Mask must be canonical CSR, rows(A)×cols(B).
+	Mask *matrix.CSR
+	// Complement flips the mask (C⟨¬M⟩): keep the positions Mask does NOT
+	// store. Ignored when Mask is nil.
+	Complement bool
 	// DisableFusion runs the three-pass sort → compress → assemble pipeline
 	// instead of the default fused one (the sort's last pass folds equal
 	// keys and the budgeted merge emits straight into the final CSR; see
@@ -247,10 +263,12 @@ type Stats struct {
 	// Layout is the expanded-tuple layout the run used: for Multiply,
 	// LayoutSqueezed (uint32 keys + float64 values, 12 bytes, whenever
 	// localRowBits+colBits ≤ 32) or LayoutWide (uint64 keys + float64
-	// values, 16 bytes); MultiplyNarrow and MultiplyPattern report their own.
+	// values, 16 bytes); MultiplyNarrow, MultiplyPattern and MultiplyRing
+	// report their own.
 	Layout Layout
-	// TupleBytes is the per-tuple byte cost of that layout (16/12/8/4) — the
-	// b entering the traffic model below.
+	// TupleBytes is the per-tuple byte cost of that layout (16/12/8/4, or the
+	// key plus the element size for the ring layout) — the b entering the
+	// traffic model below.
 	TupleBytes int64
 	// Fused reports whether the run used the fused pipeline (the default;
 	// see Options.DisableFusion). Fused runs account the sort/compress
@@ -351,6 +369,12 @@ type engine struct {
 	scratchStride int64         // per-worker stride into the sort scratch planes
 	numaM         *numa.Machine // non-nil only when NUMA-aware execution is active
 	workerNodes   []int         // worker→node assignment (nil when numaM is)
+	wideKeys      bool          // the packed key is a uint64 (wide, or ring past 32 bits)
+
+	// MultiplyRing's *ringPool (ring.go), whose key width bindLayout picks,
+	// and the ring layout's element size.
+	ring         interface{ pick(wide bool) layoutOps }
+	ringValBytes int64
 
 	// Fault containment and sub-phase cancellation (fault.go). phase names
 	// the running phase for error annotation (written between phases on the
@@ -388,6 +412,10 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, want Layout) (*engine,
 		return nil, fmt.Errorf("core: inner dimensions disagree: A is %dx%d, B is %dx%d: %w",
 			a.NumRows, a.NumCols, b.NumRows, b.NumCols, matrix.ErrShape)
 	}
+	if m := opt.Mask; m != nil && (m.NumRows != a.NumRows || m.NumCols != b.NumCols) {
+		return nil, fmt.Errorf("core: mask is %dx%d, product is %dx%d: %w",
+			m.NumRows, m.NumCols, a.NumRows, b.NumCols, matrix.ErrShape)
+	}
 	ws := opt.Workspace
 	shared := ws != nil
 	if !shared {
@@ -414,8 +442,7 @@ func newEngine(a *matrix.CSC, b *matrix.CSR, opt Options, want Layout) (*engine,
 // the references that would let a long-lived workspace pin input matrices.
 func (e *engine) finish(c *matrix.CSR, err error) (*matrix.CSR, *Stats, error) {
 	st := e.st
-	e.a, e.b, e.st, e.lay, e.keys = nil, nil, nil, nil, nil
-	e.ws.dropInputs()
+	e.dropInputs()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -508,6 +535,9 @@ func (e *engine) run() (*matrix.CSR, error) {
 	case LayoutPattern:
 		inBytes = PatternTupleBytes
 		bRead = 4 // ColIdx only
+	case LayoutRing:
+		inBytes = 4 + e.ringValBytes // RowIdx + element
+		bRead = 4 + e.ringValBytes   // ColIdx + element
 	}
 	e.st.ExpandBytes = inBytes*int64(len(e.a.RowIdx)) + (bRead+e.tupleBytes)*e.flops
 	if e.fused {
@@ -614,9 +644,19 @@ func (e *engine) compressBins(binOut, rowCounts []int64) {
 
 func (e *engine) compressOneBin(bin int, binOut, rowCounts []int64) {
 	bs := e.ws.binStart
-	n := e.lay.compressBin(e, bs[bin], bs[bin+1])
+	e.foldedBin(bin, e.lay.compressBin(e, bs[bin], bs[bin+1]), binOut, rowCounts)
+}
+
+// foldedBin finishes one folded bin of n tuples at its binStart offset:
+// the structural mask (if any) filters it, then binOut records the kept
+// count and rowCounts (when non-nil) the per-row tallies.
+func (e *engine) foldedBin(bin int, n int64, binOut, rowCounts []int64) {
+	lo := e.ws.binStart[bin]
+	if e.opt.Mask != nil {
+		n = e.lay.maskBin(e, lo, n, bin)
+	}
 	binOut[bin] = n
-	e.tallyRows(bs[bin], n, rowCounts, bin)
+	e.tallyRows(lo, n, rowCounts, bin)
 }
 
 // tallyRows adds the per-row output counts of the folded tuples at
@@ -655,14 +695,15 @@ func (e *engine) symbolic() {
 }
 
 // planPanels tiles A's columns into contiguous panels whose expanded-tuple
-// footprint (panel flops × 16 bytes) fits MemoryBudgetBytes. With no budget
-// (or a budget the whole product fits) there is exactly one panel.
+// footprint (panel flops × 16 bytes, or × 8 + the element size for ring
+// layouts over wider elements) fits MemoryBudgetBytes. With no budget (or a
+// budget the whole product fits) there is exactly one panel.
 func (e *engine) planPanels() {
 	k := int(e.a.NumCols)
 	cf := e.ws.colFlops
 	ps := e.ws.panelStart[:0]
 	ps = append(ps, 0)
-	budgetTuples := e.opt.MemoryBudgetBytes / tupleBytes
+	budgetTuples := e.opt.MemoryBudgetBytes / max(tupleBytes, 8+e.ringValBytes)
 	if e.opt.MemoryBudgetBytes <= 0 || e.flops <= budgetTuples {
 		ps = append(ps, k)
 		e.maxPanelFlops = e.flops
@@ -749,6 +790,8 @@ func (e *engine) planBins() error {
 	// uint32-key layouts — whenever rowShift + colBits ≤ 32.
 	fits := g.rowShift+e.colBits <= 32
 	switch e.want {
+	case LayoutRing:
+		e.layout = LayoutRing // a key past 32 bits takes the uint64 plane
 	case LayoutPattern, LayoutNarrow:
 		// The entry point is the layout: values are 4 bytes or absent, so
 		// there is no wide fallback to widen into — a too-wide key is an
@@ -770,11 +813,18 @@ func (e *engine) planBins() error {
 			// Best-effort: already squeezed when the geometry allows; a key
 			// that needs more than 32 bits keeps the wide layout rather than
 			// corrupt.
-		case LayoutNarrow, LayoutPattern:
-			return fmt.Errorf("core: ForceLayout %v requires the MultiplyNarrow/MultiplyPattern entry point", e.opt.ForceLayout)
+		case LayoutNarrow, LayoutPattern, LayoutRing:
+			return fmt.Errorf("core: ForceLayout %v requires the MultiplyNarrow/MultiplyPattern/MultiplyRing entry point", e.opt.ForceLayout)
 		}
 	}
+	e.wideKeys = e.layout == LayoutWide || (e.layout == LayoutRing && !fits)
 	e.tupleBytes = e.layout.TupleBytes()
+	if e.layout == LayoutRing {
+		e.tupleBytes = 4 + e.ringValBytes
+		if e.wideKeys {
+			e.tupleBytes += 4
+		}
+	}
 
 	capT := int32(int64(e.opt.LocalBinBytes) / e.tupleBytes)
 	if capT < 1 {
@@ -786,9 +836,9 @@ func (e *engine) planBins() error {
 
 // Key32Fits reports whether the bin geometry Multiply-family entries would
 // derive for a product (rows of A, columns of B, total flops, opt's bin and
-// budget settings) packs its keys into 32 bits — the gate for the squeezed,
-// narrow and pattern layouts. internal/semiring uses it to decide whether a
-// Boolean/float32/int32 multiplication can dispatch onto the fast path.
+// budget settings) packs its keys into 32 bits, for PlanLayout's model. It
+// estimates the largest panel at budget/16 tuples; a run decides from its
+// exact panel plan (planBins), which can need more key bits.
 func Key32Fits(rows, bCols int32, flops int64, opt Options) bool {
 	opt = opt.withDefaults()
 	// A memory budget tiles the run into panels of ≈ budget/16 tuples and

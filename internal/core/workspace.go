@@ -73,6 +73,9 @@ type Workspace struct {
 	kvF64    kv[uint32, float64]
 	kvWide   kv[uint64, float64]
 	kvNarrow any
+	// ring holds a *ringPool[T] for the ring layout's most recent element
+	// type T, reused while T is stable (ring.go).
+	ring any
 
 	// Pooled result storage (used only for shared workspaces).
 	out       matrix.CSR
@@ -97,9 +100,6 @@ type Workspace struct {
 	// may also just discard it. Cancelled (non-panic) runs never poison —
 	// every run re-plans and rewrites the planes it uses from scratch.
 	poisoned bool
-
-	// generic pools the type-erased buffers of the semiring engine.
-	generic GenericSpace
 }
 
 // NewWorkspace returns an empty workspace. All buffers are grown on first
@@ -118,8 +118,10 @@ func (ws *Workspace) Reset() { *ws = Workspace{} }
 func (ws *Workspace) TupleCapBytes() int64 {
 	keys := int64(cap(ws.keys32.tuple))*4 + int64(cap(ws.keys64.tuple))*8
 	vals := ws.kvF64.tupleCapBytes() + ws.kvWide.tupleCapBytes()
-	if n, ok := ws.kvNarrow.(interface{ tupleCapBytes() int64 }); ok {
-		vals += n.tupleCapBytes()
+	for _, slot := range []any{ws.kvNarrow, ws.ring} {
+		if n, ok := slot.(interface{ tupleCapBytes() int64 }); ok {
+			vals += n.tupleCapBytes()
+		}
 	}
 	return keys + vals
 }
@@ -127,22 +129,3 @@ func (ws *Workspace) TupleCapBytes() int64 {
 // CSCOf converts a into the workspace's pooled CSC storage. The result
 // aliases workspace memory and is invalidated by the next CSCOf call.
 func (ws *Workspace) CSCOf(a *matrix.CSR) *matrix.CSC { return a.ToCSCInto(&ws.csc) }
-
-// Generic exposes the pooled buffers of the type-generic semiring engine.
-func (ws *Workspace) Generic() *GenericSpace { return &ws.generic }
-
-// GenericSpace pools the buffers of internal/semiring's generic engine. The
-// tuple and value buffers are type-erased (any) because their element type is
-// the semiring's T: reuse hits when T is stable across calls, and a changed T
-// simply reallocates. Plain int slices are shared like the float64 engine's.
-type GenericSpace struct {
-	Tuples, Runs, Merged, OutVal any
-
-	ColFlops, BinFlops, BinStart, Cursor []int64
-	BinOut, BinOutStart, RowCounts       []int64
-	RunStart, MergedStart, Heads         []int64
-	RunBins, RunIdx, RunIdxStart         []int32
-	PanelStart                           []int
-	OutRowPtr                            []int64
-	OutColIdx                            []int32
-}

@@ -63,6 +63,11 @@ type Opts struct {
 	LocalBinBytes     int
 	L2CacheBytes      int
 	MemoryBudgetBytes int64
+	// Mask and Complement restrict the product structurally
+	// (core.Options.Mask). Only Masked kernels (PB) honor them; the Engine
+	// runs every masked call on PB.
+	Mask       *matrix.CSR
+	Complement bool
 }
 
 // Result is one multiplication's outcome. When the call ran on a non-nil

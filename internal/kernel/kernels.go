@@ -70,6 +70,8 @@ func (pbKernel) Multiply(ctx context.Context, ws *Workspace, a, b *matrix.CSR, o
 		Threads:           opt.Threads,
 		L2CacheBytes:      opt.L2CacheBytes,
 		MemoryBudgetBytes: opt.MemoryBudgetBytes,
+		Mask:              opt.Mask,
+		Complement:        opt.Complement,
 		Workspace:         cw,
 		Cancel:            cancelOf(ctx),
 	})

@@ -1,8 +1,8 @@
 package matrix
 
 // Grow-only buffer helpers shared by the pooled execution engines
-// (internal/core's Workspace, internal/semiring's GenericSpace) and this
-// package's Into-style converters: return (*buf)[:n], reallocating only when
+// (internal/core's Workspace, internal/baseline's) and this package's
+// Into-style converters: return (*buf)[:n], reallocating only when
 // capacity is short. Contents are unspecified unless the Zero variant is
 // used.
 

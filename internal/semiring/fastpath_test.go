@@ -1,7 +1,9 @@
 package semiring
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"pbspgemm/internal/core"
@@ -9,8 +11,8 @@ import (
 	"pbspgemm/internal/matrix"
 )
 
-// stripKind returns sr with its fast-path tag erased, forcing the generic
-// engine — the oracle the typed pipelines are checked against.
+// stripKind returns sr with its fast-path tag erased, forcing the ring
+// layout — the oracle the typed layouts are checked against.
 func stripKind[T any](sr Semiring[T]) Semiring[T] {
 	sr.kind = kindGeneric
 	return sr
@@ -42,10 +44,39 @@ func sameStructureG[T any](a, b *CSRg[T]) bool {
 	return true
 }
 
+// sameBitsG reports whether a and b have the same structure and the same
+// value bits (bits maps a value to its bit pattern: −0.0 ≠ +0.0).
+func sameBitsG[T any](a, b *CSRg[T], bits func(T) uint64) bool {
+	if !sameStructureG(a, b) {
+		return false
+	}
+	for i := range a.Val {
+		if bits(a.Val[i]) != bits(b.Val[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func f64bits(v float64) uint64 { return math.Float64bits(v) }
+func f32bits(v float32) uint64 { return uint64(math.Float32bits(v)) }
+func boolBits(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// isRing reports whether p records a ring-layout run with a reason naming
+// it.
+func isRing(p Plan) bool {
+	return !p.FastPath && p.Layout == core.LayoutRing && strings.Contains(p.Reason, "ring layout")
+}
+
 // TestFastPathPlanReporting pins the dispatch rule: Boolean lands on the
 // pattern layout, float32/int32 arithmetic on narrow, float64 on the layout
-// core picks; custom semirings, masked calls, and false-valued booleans
-// report the generic fallback with a reason.
+// core picks, masked or not; custom semirings and false-valued booleans
+// report the ring layout with a reason.
 func TestFastPathPlanReporting(t *testing.T) {
 	a := intCSR(gen.ER(400, 6, 31))
 	b := intCSR(gen.ER(400, 6, 32))
@@ -53,97 +84,95 @@ func TestFastPathPlanReporting(t *testing.T) {
 	// Boolean → pattern.
 	ba := FromCSR(a, func(float64) bool { return true }).ToCSC()
 	bb := FromCSR(b, func(float64) bool { return true })
-	var p Plan
-	cb, err := MultiplyOpts(Boolean(), ba, bb, Options{Plan: &p})
+	cb, p, err := MultiplyOpts(Boolean(), ba, bb, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.FastPath || p.Layout != core.LayoutPattern {
 		t.Fatalf("boolean plan = %+v, want pattern fast path", p)
 	}
-	ref, err := MultiplyOpts(stripKind(Boolean()), ba, bb, Options{})
+	ref, p, err := MultiplyOpts(stripKind(Boolean()), ba, bb, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameStructureG(ref, cb) {
-		t.Fatal("pattern fast path structure differs from generic boolean")
+	if !isRing(p) {
+		t.Fatalf("stripped boolean plan = %+v, want the ring layout", p)
 	}
-	for i, v := range cb.Val {
-		if !v {
-			t.Fatalf("fast-path boolean value[%d] is false", i)
-		}
+	if !sameBitsG(ref, cb, boolBits) {
+		t.Fatal("pattern fast path differs from the ring-layout boolean product")
 	}
 
 	// float32 → narrow.
 	fa := FromCSR(a, func(v float64) float32 { return float32(v) }).ToCSC()
 	fb := FromCSR(b, func(v float64) float32 { return float32(v) })
-	cf, err := MultiplyOpts(Arithmetic32(), fa, fb, Options{Plan: &p})
+	cf, p, err := MultiplyOpts(Arithmetic32(), fa, fb, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.FastPath || p.Layout != core.LayoutNarrow {
 		t.Fatalf("float32 plan = %+v, want narrow fast path", p)
 	}
-	reff, err := MultiplyOpts(stripKind(Arithmetic32()), fa, fb, Options{})
+	reff, _, err := MultiplyOpts(stripKind(Arithmetic32()), fa, fb, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameStructureG(reff, cf) {
-		t.Fatal("narrow fast path structure differs from generic float32")
-	}
-	for i := range cf.Val {
-		if cf.Val[i] != reff.Val[i] {
-			t.Fatalf("narrow value[%d] = %v, generic oracle %v", i, cf.Val[i], reff.Val[i])
-		}
+	if !sameBitsG(reff, cf, f32bits) {
+		t.Fatal("narrow fast path differs from the ring-layout float32 product")
 	}
 
 	// int32 → narrow.
 	ia := FromCSR(a, func(v float64) int32 { return int32(v) }).ToCSC()
 	ib := FromCSR(b, func(v float64) int32 { return int32(v) })
-	if _, err := MultiplyOpts(ArithmeticInt32(), ia, ib, Options{Plan: &p}); err != nil {
+	if _, p, err = MultiplyOpts(ArithmeticInt32(), ia, ib, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !p.FastPath || p.Layout != core.LayoutNarrow {
 		t.Fatalf("int32 plan = %+v, want narrow fast path", p)
 	}
 
-	// float64 → whatever core picks (squeezed here).
+	// float64 → whatever core picks (squeezed here), masked or not.
 	da := FromCSR(a, func(v float64) float64 { return v }).ToCSC()
 	db := FromCSR(b, func(v float64) float64 { return v })
-	if _, err := MultiplyOpts(Arithmetic(), da, db, Options{Plan: &p}); err != nil {
+	if _, p, err = MultiplyOpts(Arithmetic(), da, db, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if !p.FastPath {
-		t.Fatalf("float64 plan = %+v, want fast path", p)
+	if !p.FastPath || p.Layout != core.LayoutSqueezed {
+		t.Fatalf("float64 plan = %+v, want squeezed fast path", p)
+	}
+	if _, p, err = MultiplyOpts(Arithmetic(), da, db, core.Options{Mask: a}); err != nil {
+		t.Fatal(err)
+	}
+	if !p.FastPath || p.Layout != core.LayoutSqueezed {
+		t.Fatalf("masked plan = %+v, want squeezed fast path", p)
 	}
 
-	// Fallbacks, each with a reason.
-	if _, err := MultiplyOpts(stripKind(Arithmetic()), da, db, Options{Plan: &p}); err != nil {
+	// Ring layout, each with a reason.
+	if _, p, err = MultiplyOpts(stripKind(Arithmetic()), da, db, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if p.FastPath || p.Reason == "" {
-		t.Fatalf("custom semiring plan = %+v, want reasoned fallback", p)
+	if !isRing(p) {
+		t.Fatalf("custom semiring plan = %+v, want the ring layout with a reason", p)
 	}
-	if _, err := MultiplyOpts(Arithmetic(), da, db, Options{Plan: &p, Mask: a}); err != nil {
+	if _, p, err = MultiplyOpts(MinPlus(), da, db, core.Options{Mask: a, Complement: true}); err != nil {
 		t.Fatal(err)
 	}
-	if p.FastPath || p.Reason == "" {
-		t.Fatalf("masked plan = %+v, want reasoned fallback", p)
+	if !isRing(p) {
+		t.Fatalf("masked min-plus plan = %+v, want the ring layout with a reason", p)
 	}
-	// A stored false value makes the pattern layout unsound: fall back.
+	// A stored false value makes the pattern layout unsound: ring layout.
 	bf := FromCSR(b, func(float64) bool { return true })
 	bf.Val[0] = false
-	if _, err := MultiplyOpts(Boolean(), ba, bf, Options{Plan: &p}); err != nil {
+	if _, p, err = MultiplyOpts(Boolean(), ba, bf, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if p.FastPath || p.Reason == "" {
-		t.Fatalf("false-valued boolean plan = %+v, want reasoned fallback", p)
+	if !isRing(p) {
+		t.Fatalf("false-valued boolean plan = %+v, want the ring layout with a reason", p)
 	}
 }
 
 // TestFastPathKeyWidthFallback: a 31-bit column space has no 32-bit packed
-// key, so the narrow and pattern dispatches must decline and the generic
-// engine must produce the product.
+// key, so the narrow and pattern dispatches must decline and the ring
+// layout, on 64-bit keys, must produce the product.
 func TestFastPathKeyWidthFallback(t *testing.T) {
 	cols := int32(1) << 30
 	a := &CSRg[int32]{NumRows: 8, NumCols: 8,
@@ -154,13 +183,12 @@ func TestFastPathKeyWidthFallback(t *testing.T) {
 		RowPtr: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8},
 		ColIdx: []int32{0, 1 << 29, 2, 3, 4, 5, 6, cols - 1},
 		Val:    []int32{2, 2, 2, 2, 2, 2, 2, 2}}
-	var p Plan
-	c, err := MultiplyOpts(ArithmeticInt32(), a.ToCSC(), b, Options{Plan: &p})
+	c, p, err := MultiplyOpts(ArithmeticInt32(), a.ToCSC(), b, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FastPath {
-		t.Fatalf("plan = %+v, want key-width fallback", p)
+	if !isRing(p) || !strings.Contains(p.Reason, "32 bits") {
+		t.Fatalf("plan = %+v, want a key-width fallback onto the ring layout", p)
 	}
 	if c.NNZ() != 8 {
 		t.Fatalf("fallback product nnz = %d, want 8", c.NNZ())
@@ -170,17 +198,36 @@ func TestFastPathKeyWidthFallback(t *testing.T) {
 			t.Fatalf("value[%d] = %d, want 2", i, v)
 		}
 	}
+	if !slices.Equal(c.ColIdx, b.ColIdx) {
+		t.Fatalf("fallback product columns = %v, want %v", c.ColIdx, b.ColIdx)
+	}
 }
 
-// FuzzFastPathVsGeneric holds the typed dispatches to the generic engine as
-// oracle on random shapes: structure for Boolean, exact values for float32
-// (integer-valued inputs) and int32, across budgeted and pooled variants.
+// fuzzReal decodes one fuzz byte into a real value: signed multiples of an
+// inexact step (so fold order shows in the last bits), with 0 decoding to
+// −0.0.
+func fuzzReal(v byte) float64 {
+	if v == 0 {
+		return math.Copysign(0, -1)
+	}
+	return float64(int8(v)) * 0.173
+}
+
+// FuzzFastPathVsGeneric holds every typed layout to the ring layout as
+// oracle: the same (+, ×) or (∨, ∧) funcs behind a kindGeneric tag, run on
+// the same geometry. Values are real (signed, inexact, with −0.0) and the
+// comparison is bit for bit — structure for Boolean, value bits for float32
+// and float64 — single-shot, budgeted, multi-threaded and pooled.
 func FuzzFastPathVsGeneric(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{16, 1, 16, 255, 255, 255, 0, 0, 0, 128, 64, 32, 7, 6, 5})
+	f.Add([]byte{8, 3, 8, 1, 0, 0, 2, 1, 0, 3, 2, 129, 4, 0, 7, 5, 1, 0, 6, 2, 200, 0, 0, 3})
+	// One output entry summing four products whose left-to-right sum
+	// differs from the other groupings in its last bit.
+	f.Add([]byte{0, 3, 0, 0, 0, 167, 0, 0, 127, 1, 0, 98, 0, 1, 195, 2, 0, 202, 0, 2, 116, 3, 0, 54, 0, 3, 121})
 
-	ws := core.NewWorkspace()
+	wsTyped, wsRing := core.NewWorkspace(), core.NewWorkspace()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -191,7 +238,7 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 		coo := &matrix.COO{NumRows: rows, NumCols: inner}
 		cob := &matrix.COO{NumRows: inner, NumCols: cols}
 		for i := 3; i+2 < len(data); i += 3 {
-			r, c, v := data[i], data[i+1], float64(data[i+2]%7)+1
+			r, c, v := data[i], data[i+1], fuzzReal(data[i+2])
 			if (i/3)%2 == 0 {
 				coo.Row = append(coo.Row, int32(r)%rows)
 				coo.Col = append(coo.Col, int32(c)%inner)
@@ -203,55 +250,66 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 			}
 		}
 		a, b := coo.ToCSR(), cob.ToCSR()
+		ba := FromCSR(a, func(float64) bool { return true }).ToCSC()
+		bb := FromCSR(b, func(float64) bool { return true })
+		fa := FromCSR(a, func(v float64) float32 { return float32(v) }).ToCSC()
+		fb := FromCSR(b, func(v float64) float32 { return float32(v) })
+		da := FromCSR(a, func(v float64) float64 { return v }).ToCSC()
+		db := FromCSR(b, func(v float64) float64 { return v })
 
-		for _, opt := range []Options{
+		for _, opt := range []core.Options{
 			{},
 			{MemoryBudgetBytes: 128},
-			{Threads: 1, Workspace: ws},
+			{Threads: 3},
+			{Threads: 1, Workspace: wsTyped},
 		} {
-			var p Plan
-			opt.Plan = &p
-
-			ba := FromCSR(a, func(float64) bool { return true }).ToCSC()
-			bb := FromCSR(b, func(float64) bool { return true })
-			fast, err := MultiplyOpts(Boolean(), ba, bb, opt)
-			if err != nil {
-				t.Fatal(err)
+			ringOpt := opt
+			if opt.Workspace != nil {
+				ringOpt.Workspace = wsRing
 			}
-			if !p.FastPath || p.Layout != core.LayoutPattern {
-				t.Fatalf("boolean plan = %+v, want pattern", p)
-			}
-			oracle, err := MultiplyOpts(stripKind(Boolean()), ba, bb, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameStructureG(oracle, fast) {
-				t.Fatalf("pattern structure differs from generic oracle (opt %+v)", opt)
-			}
-
-			fa := FromCSR(a, func(v float64) float32 { return float32(v) }).ToCSC()
-			fb := FromCSR(b, func(v float64) float32 { return float32(v) })
-			ff, err := MultiplyOpts(Arithmetic32(), fa, fb, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !p.FastPath || p.Layout != core.LayoutNarrow {
-				t.Fatalf("float32 plan = %+v, want narrow", p)
-			}
-			fo, err := MultiplyOpts(stripKind(Arithmetic32()), fa, fb, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameStructureG(fo, ff) {
-				t.Fatalf("narrow structure differs from generic oracle (opt %+v)", opt)
-			}
-			for i := range ff.Val {
-				if ff.Val[i] != fo.Val[i] {
-					t.Fatalf("narrow value[%d] = %v, oracle %v (opt %+v)", i, ff.Val[i], fo.Val[i], opt)
+			check := func(name string, want core.Layout, same func() (bool, Plan, Plan, error)) {
+				ok, fp, rp, err := same()
+				if err != nil {
+					t.Fatalf("%s (opt %+v): %v", name, opt, err)
+				}
+				if !fp.FastPath || fp.Layout != want {
+					t.Fatalf("%s plan = %+v, want %v", name, fp, want)
+				}
+				if !isRing(rp) {
+					t.Fatalf("%s oracle plan = %+v, want the ring layout", name, rp)
+				}
+				if !ok {
+					t.Fatalf("%s differs from the ring-layout oracle (opt %+v)", name, opt)
 				}
 			}
+			check("boolean", core.LayoutPattern, func() (bool, Plan, Plan, error) {
+				return compareG(Boolean(), ba, bb, opt, ringOpt, boolBits)
+			})
+			check("float32", core.LayoutNarrow, func() (bool, Plan, Plan, error) {
+				return compareG(Arithmetic32(), fa, fb, opt, ringOpt, f32bits)
+			})
+			check("float64", core.LayoutSqueezed, func() (bool, Plan, Plan, error) {
+				return compareG(Arithmetic(), da, db, opt, ringOpt, f64bits)
+			})
 		}
 	})
+}
+
+// compareG runs sr on its typed layout and on the ring layout, each on its
+// own options (distinct pooled workspaces, so neither result clobbers the
+// other), and reports whether the two agree bit for bit.
+func compareG[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt, ringOpt core.Options,
+	bits func(T) uint64) (bool, Plan, Plan, error) {
+
+	fast, fp, err := MultiplyOpts(sr, a, b, opt)
+	if err != nil {
+		return false, fp, Plan{}, err
+	}
+	oracle, rp, err := MultiplyOpts(stripKind(sr), a, b, ringOpt)
+	if err != nil {
+		return false, fp, rp, err
+	}
+	return sameBitsG(fast, oracle, bits), fp, rp, nil
 }
 
 // TestFastPathBudgetedKeyWidthFallback: under a memory budget the panel plan
@@ -259,7 +317,7 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 // estimate core.Key32Fits makes. Here budget/16 tuples predicts 4 bins (18
 // local-row bits + 14 column bits = 32), but the two 140k-flop columns cut
 // into one panel each, whose 3 bins need 19 bits. The narrow and pattern
-// dispatches must then fall back to the generic engine, as the same call
+// dispatches must then fall back to the ring layout, as the same call
 // without a budget runs the fast path, and both must produce the product.
 func TestFastPathBudgetedKeyWidthFallback(t *testing.T) {
 	const rows, inner, cols = 1 << 20, 2, 16383
@@ -280,35 +338,34 @@ func TestFastPathBudgetedKeyWidthFallback(t *testing.T) {
 	}
 	const budget = 4 << 20
 
-	wantI, err := MultiplyOpts(stripKind(ArithmeticInt32()), a, b, Options{})
+	wantI, _, err := MultiplyOpts(stripKind(ArithmeticInt32()), a, b, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p Plan
-	if _, err := MultiplyOpts(ArithmeticInt32(), a, b, Options{Plan: &p}); err != nil || !p.FastPath {
+	if _, p, err := MultiplyOpts(ArithmeticInt32(), a, b, core.Options{}); err != nil || !p.FastPath {
 		t.Fatalf("unbudgeted: err=%v plan=%+v, want the narrow fast path", err, p)
 	}
-	gotI, err := MultiplyOpts(ArithmeticInt32(), a, b, Options{MemoryBudgetBytes: budget, Plan: &p})
+	gotI, p, err := MultiplyOpts(ArithmeticInt32(), a, b, core.Options{MemoryBudgetBytes: budget})
 	if err != nil {
 		t.Fatalf("budgeted narrow: %v", err)
 	}
-	if p.FastPath || p.Reason == "" {
-		t.Fatalf("budgeted narrow plan = %+v, want a key-width fallback with a reason", p)
+	if !isRing(p) || !strings.Contains(p.Reason, "narrow") {
+		t.Fatalf("budgeted narrow plan = %+v, want a key-width fallback onto the ring layout", p)
 	}
 	if !sameStructureG(gotI, wantI) || !slices.Equal(gotI.Val, wantI.Val) {
-		t.Fatal("budgeted narrow fallback differs from the generic product")
+		t.Fatal("budgeted narrow fallback differs from the ring-layout product")
 	}
 
 	ab := &CSCg[bool]{NumRows: a.NumRows, NumCols: a.NumCols, ColPtr: a.ColPtr, RowIdx: a.RowIdx,
 		Val: slices.Repeat([]bool{true}, len(a.RowIdx))}
 	bb := &CSRg[bool]{NumRows: b.NumRows, NumCols: b.NumCols, RowPtr: b.RowPtr, ColIdx: b.ColIdx,
 		Val: slices.Repeat([]bool{true}, len(b.ColIdx))}
-	gotB, err := MultiplyOpts(Boolean(), ab, bb, Options{MemoryBudgetBytes: budget, Plan: &p})
+	gotB, p, err := MultiplyOpts(Boolean(), ab, bb, core.Options{MemoryBudgetBytes: budget})
 	if err != nil {
 		t.Fatalf("budgeted pattern: %v", err)
 	}
-	if p.FastPath || p.Reason == "" {
-		t.Fatalf("budgeted pattern plan = %+v, want a key-width fallback with a reason", p)
+	if !isRing(p) || !strings.Contains(p.Reason, "pattern") {
+		t.Fatalf("budgeted pattern plan = %+v, want a key-width fallback onto the ring layout", p)
 	}
 	if !slices.Equal(gotB.RowPtr, wantI.RowPtr) || !slices.Equal(gotB.ColIdx, wantI.ColIdx) {
 		t.Fatal("budgeted pattern fallback differs from the product's structure")

@@ -2,9 +2,10 @@
 // algebra behind the paper's application citations: multi-source BFS is
 // SpGEMM over the boolean semiring [3], shortest paths over the tropical
 // (min-plus) semiring, triangle counting over arithmetic, Markov clustering
-// over arithmetic with pruning [9]. The kernel reuses the paper's
-// expand-sort-compress structure with propagation blocking: only the Times
-// in the expand phase and the Plus in the compress phase change.
+// over arithmetic with pruning [9]. Every product runs internal/core's PB
+// engine (multiply.go): a typed tuple layout for the stock (+, ×) and
+// (∨, ∧) semirings, and the ring layout — the same pipeline, with the Times
+// in the expand phase and the Plus in the fold — for everything else.
 package semiring
 
 // Semiring defines (⊕, ⊗, 0̄) over T. Plus must be associative and
@@ -18,10 +19,10 @@ type Semiring[T any] struct {
 	Plus  func(a, b T) T
 	Times func(a, b T) T
 
-	// kind tags the stock semirings whose (⊕, ⊗) the typed core engine
+	// kind tags the stock semirings whose (⊕, ⊗) a typed core layout
 	// implements natively, letting MultiplyOpts dispatch onto the tuned
-	// tuple-layout pipelines (see fastpath.go). Caller-assembled semirings
-	// carry kindGeneric and always run the generic engine: the engine cannot
+	// tuple-layout pipelines (see multiply.go). Caller-assembled semirings
+	// carry kindGeneric and always run the ring layout: the engine cannot
 	// see through a func value, so only constructor provenance is trusted.
 	kind semiringKind
 }
@@ -30,7 +31,7 @@ type Semiring[T any] struct {
 type semiringKind uint8
 
 const (
-	kindGeneric  semiringKind = iota // no typed kernel: generic engine
+	kindGeneric  semiringKind = iota // no typed layout: ring layout
 	kindArithF64                     // (+, ×) over float64 → core.Multiply
 	kindArithF32                     // (+, ×) over float32 → 8 B narrow
 	kindArithI32                     // (+, ×) over int32 → 8 B narrow

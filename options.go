@@ -133,10 +133,9 @@ func WithThreads(n int) Option {
 	}
 }
 
-// WithNBins overrides the global bin count of the float64 PB kernel;
-// 0 auto-sizes from flop and the L2 budget (Algorithm 3). Masked and
-// semiring multiplications always auto-size their bins and ignore this
-// option (like WithLocalBinBytes and WithL2CacheBytes).
+// WithNBins overrides the global bin count of the PB kernel (float64,
+// masked and semiring products alike); 0 auto-sizes from flop and the L2
+// budget (Algorithm 3).
 func WithNBins(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -147,9 +146,9 @@ func WithNBins(n int) Option {
 	}
 }
 
-// WithLocalBinBytes sets the thread-private local bin width in bytes
-// (float64 PB kernel only; masked/semiring paths ignore it); 0 means 512,
-// the paper's tuned value (Fig. 6a).
+// WithLocalBinBytes sets the PB kernel's thread-private local bin width in
+// bytes; 0 means 512, the paper's tuned value (Fig. 6a). The ring layout of
+// custom semirings writes straight to its bins and has no local bins.
 func WithLocalBinBytes(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -160,9 +159,8 @@ func WithLocalBinBytes(n int) Option {
 	}
 }
 
-// WithL2CacheBytes sets the per-bin cache budget used to auto-size the bin
-// count (float64 PB kernel only; masked/semiring paths ignore it); 0 means
-// 1 MiB.
+// WithL2CacheBytes sets the per-bin cache budget the PB kernel auto-sizes
+// the bin count from; 0 means 1 MiB.
 func WithL2CacheBytes(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -189,9 +187,11 @@ func WithMemoryBudget(bytes int64) Option {
 // WithMask restricts the product structurally (GraphBLAS C⟨M⟩ = A·B): only
 // positions where m stores an entry are kept, and the unmasked product is
 // never materialized. m's values are ignored; its shape must be
-// rows(A)×cols(B). A masked multiplication always runs the PB-structured
-// semiring kernel. WithMask(nil) clears any mask set by an earlier option,
-// restoring the unmasked product.
+// rows(A)×cols(B). A masked multiplication always runs the PB kernel, on the
+// same tuple layout as the unmasked product, and each bin is filtered right
+// after its fold: the kept values are bit-identical to the unmasked
+// product's under the same options. WithMask(nil) clears any mask set by an
+// earlier option, restoring the unmasked product.
 func WithMask(m *CSR) Option {
 	return func(c *config) error {
 		c.mask, c.complement = m, false
@@ -199,11 +199,12 @@ func WithMask(m *CSR) Option {
 	}
 }
 
-// WithSemiringPlan asks MultiplyOver / EngineMultiplyOver to report how the
-// call executed into *p: whether a typed fast path ran (Boolean → 4-byte
-// pattern layout, float32/int32 arithmetic → 8-byte narrow, float64
-// arithmetic → the squeezed/wide pipeline) and, on fallback, why the generic
-// engine ran instead. Pass nil to clear an earlier option.
+// WithSemiringPlan asks MultiplyOver, EngineMultiplyOver and the
+// package-level MultiplyMasked to report into *p whether a typed fast path
+// ran (Boolean → 4-byte pattern, float32/int32 arithmetic → 8-byte narrow,
+// float64 arithmetic → squeezed/wide), the layout that ran (LayoutRing when
+// none did) and why. Engine.Multiply reports its layout on Result.PB.
+// Pass nil to clear an earlier option.
 func WithSemiringPlan(p *SemiringPlan) Option {
 	return func(c *config) error {
 		c.plan = p

@@ -26,8 +26,8 @@ type Matrix[T any] = semiring.CSRg[T]
 type ColMatrix[T any] = semiring.CSCg[T]
 
 // SemiringPlan reports how a MultiplyOver call executed: whether a typed
-// tuple-layout fast path ran (and which layout), or why the generic engine
-// ran instead. Request one with WithSemiringPlan.
+// tuple-layout fast path ran, which layout ran (LayoutRing when none did),
+// and why the ring layout ran instead. Request one with WithSemiringPlan.
 type SemiringPlan = semiring.Plan
 
 // Stock semirings. Each call returns a fresh value; Semiring is a plain
@@ -79,19 +79,31 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 }
 
 // MultiplyOver computes C = A ⊗ B over an arbitrary semiring with the
-// PB-SpGEMM structure (outer-product expand, propagation-blocked binning,
-// per-bin sort, compress folding duplicates with sr.Plus). A streams in
+// PB-SpGEMM pipeline (outer-product expand, propagation-blocked binning,
+// per-bin sort, fold of duplicates with sr.Plus): the stock semirings run a
+// typed tuple layout, every other one the ring layout. A streams in
 // column-major form — convert once with (*Matrix[T]).ToCSC and reuse across
-// calls sharing A. Honors WithThreads, WithMemoryBudget, WithMask /
-// WithComplementMask and WithContext; WithAlgorithm is ignored (the generic
-// path is always PB-structured). For repeated calls, EngineMultiplyOver
-// additionally reuses pooled workspaces.
+// calls sharing A. Honors WithThreads, WithMemoryBudget, WithNBins,
+// WithLocalBinBytes, WithL2CacheBytes, WithMask / WithComplementMask,
+// WithSemiringPlan and WithContext; WithAlgorithm is ignored (the semiring
+// path is always PB). For repeated calls, EngineMultiplyOver additionally
+// reuses pooled workspaces.
 func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return semiring.MultiplyOpts(sr, a, b, cfg.semiringOptions(nil))
+	return multiplyOver(&cfg, sr, a, b, nil)
+}
+
+// multiplyOver runs one resolved semiring call on ws (nil for one-shot
+// calls) and reports its plan to WithSemiringPlan.
+func multiplyOver[T any](cfg *config, sr Semiring[T], a *ColMatrix[T], b *Matrix[T], ws *core.Workspace) (*Matrix[T], error) {
+	c, plan, err := semiring.MultiplyOpts(sr, a, b, cfg.coreOptions(ws))
+	if cfg.plan != nil {
+		*cfg.plan = plan
+	}
+	return c, err
 }
 
 // MultiplyMasked computes the masked product C⟨M⟩ = (A·B) ∘ M over the
@@ -117,8 +129,7 @@ func MultiplyMasked(a, b, mask *CSR, opts ...Option) (*CSR, error) {
 	if a.NumCols != b.NumRows {
 		return nil, shapeError(a, b)
 	}
-	sopt := cfg.semiringOptions(nil)
-	c, err := semiring.MultiplyOpts(Arithmetic(), colView(a.ToCSC()), Float64Matrix(b), sopt)
+	c, err := multiplyOver(&cfg, Arithmetic(), colView(a.ToCSC()), Float64Matrix(b), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,17 +149,20 @@ func EWiseMult[T any](sr Semiring[T], a, b *Matrix[T]) (*Matrix[T], error) {
 	return semiring.EWiseMult(sr, a, b)
 }
 
-// semiringOptions lowers the resolved config to the generic engine's
-// options; ws is the pooled workspace (nil for one-shot calls).
-func (c *config) semiringOptions(ws *core.Workspace) semiring.Options {
-	return semiring.Options{
+// coreOptions lowers the resolved config to the PB engine's options for
+// the semiring and masked paths; ws is the pooled workspace (nil for
+// one-shot calls).
+func (c *config) coreOptions(ws *core.Workspace) core.Options {
+	return core.Options{
 		Threads:           c.threads,
+		NBins:             c.nbins,
+		LocalBinBytes:     c.localBin,
+		L2CacheBytes:      c.l2Cache,
 		MemoryBudgetBytes: c.budget,
 		Workspace:         ws,
 		Mask:              c.mask,
 		Complement:        c.complement,
 		Cancel:            c.cancelFunc(),
-		Plan:              c.plan,
 	}
 }
 

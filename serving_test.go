@@ -13,7 +13,7 @@ import (
 // serving layer does: many goroutines issuing products over different value
 // types and tuple layouts at once — float64 arithmetic (12/16-byte tuples),
 // boolean structure (4-byte pattern), float32 (8-byte narrow), min-plus
-// generic, and masked products — while some requests are canceled mid-flight.
+// (ring layout), and masked products — while some requests are canceled mid-flight.
 // Every completed product must match its single-threaded reference, every
 // canceled one must fail with the ctx error, and no worker goroutine may
 // outlive the run.
@@ -67,7 +67,7 @@ func TestEngineConcurrentMixedLayoutLoad(t *testing.T) {
 			}
 			return nil
 		},
-		func(ctx context.Context) error { // generic fallback path
+		func(ctx context.Context) error { // ring layout
 			c, err := EngineMultiplyOver(eng, ctx, MinPlus(), mpA, mpB)
 			if err != nil {
 				return err

@@ -140,6 +140,10 @@ const (
 	// LayoutPattern is the 4-byte key-only layout of structural products
 	// (the Boolean semiring's fast path).
 	LayoutPattern = core.LayoutPattern
+	// LayoutRing is the semiring layout of every product no typed layout
+	// serves (custom semirings, stored-false booleans, keys past 32 bits): a
+	// key plane plus an element-typed value plane, folded with Plus/Times.
+	LayoutRing = core.LayoutRing
 )
 
 // BaselineStats is the two-phase breakdown of a column SpGEMM run.
