@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pbspgemm/internal/gen"
@@ -405,4 +406,137 @@ func BenchmarkSortPhase(b *testing.B) {
 			radix.SortFusedScratch(wk, wv, auxK, auxV, true)
 		}
 	})
+}
+
+// maskBits filters a product — structure c, value bits (nil for pattern) —
+// by mask: the reference every layout's per-bin mask is held to.
+func maskBits(c *matrix.CSR, bits []uint64, mask *matrix.CSR, complement bool) (*matrix.CSR, []uint64) {
+	out := &matrix.CSR{NumRows: c.NumRows, NumCols: c.NumCols, RowPtr: make([]int64, c.NumRows+1), ColIdx: []int32{}}
+	var kept []uint64
+	for i := int32(0); i < c.NumRows; i++ {
+		mp, mEnd := mask.RowPtr[i], mask.RowPtr[i+1]
+		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
+			col := c.ColIdx[p]
+			for mp < mEnd && mask.ColIdx[mp] < col {
+				mp++
+			}
+			if (mp < mEnd && mask.ColIdx[mp] == col) != complement {
+				out.ColIdx = append(out.ColIdx, col)
+				if bits != nil {
+					kept = append(kept, bits[p])
+				}
+			}
+		}
+		out.RowPtr[i+1] = int64(len(out.ColIdx))
+	}
+	return out, kept
+}
+
+// spreadCols returns m with column j moved to j<<shift in a column space
+// of NumCols<<shift, so a packed key needs more than 32 bits.
+func spreadCols(m *matrix.CSR, shift uint) *matrix.CSR {
+	out := m.Clone()
+	out.NumCols <<= shift
+	for i := range out.ColIdx {
+		out.ColIdx[i] <<= shift
+	}
+	return out
+}
+
+// TestMaskEveryLayout holds Options.Mask to the unmasked product filtered
+// by the mask, bit for bit on real values with −0.0, on every layout —
+// squeezed, forced wide, narrow, pattern, and the ring layout at 32- and
+// 64-bit keys — for the plain and the complement mask, single-shot and
+// budgeted (against the unmasked product under the same budget).
+func TestMaskEveryLayout(t *testing.T) {
+	a := gen.ER(512, 6, 71)
+	for i := 0; i < len(a.Val); i += 61 {
+		a.Val[i] = math.Copysign(0, -1)
+	}
+	b0, mask0 := gen.ER(512, 6, 72), gen.ER(512, 9, 73)
+	acsc := a.ToCSC()
+	f64 := func(vs []float64) []uint64 {
+		bits := make([]uint64, len(vs))
+		for i, v := range vs {
+			bits[i] = math.Float64bits(v)
+		}
+		return bits
+	}
+	plus := func(x, y float64) float64 { return x + y }
+	times := func(x, y float64) float64 { return x * y }
+	type run func(b *matrix.CSR, opt Options) (*matrix.CSR, []uint64, *Stats, error)
+	typed := func(b *matrix.CSR, opt Options) (*matrix.CSR, []uint64, *Stats, error) {
+		c, st, err := Multiply(acsc, b, opt)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return c, f64(c.Val), st, nil
+	}
+	ring := func(b *matrix.CSR, opt Options) (*matrix.CSR, []uint64, *Stats, error) {
+		c, vals, st, err := MultiplyRing(acsc, acsc.Val, b, b.Val, plus, times, opt)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return c, f64(vals), st, nil
+	}
+	for _, tc := range []struct {
+		name       string
+		spread     uint // column spread; > 0 forces 64-bit keys
+		force      Layout
+		want       Layout
+		tupleBytes int64
+		run        run
+	}{
+		{"squeezed", 0, 0, LayoutSqueezed, SqueezedTupleBytes, typed},
+		{"wide", 0, LayoutWide, LayoutWide, WideTupleBytes, typed},
+		{"wide-keys", 21, 0, LayoutWide, WideTupleBytes, typed},
+		{"narrow", 0, 0, LayoutNarrow, NarrowTupleBytes, func(b *matrix.CSR, opt Options) (*matrix.CSR, []uint64, *Stats, error) {
+			av, bv := narrowPlanes[float32](acsc, b)
+			c, vals, st, err := MultiplyNarrow(acsc, av, b, bv, opt)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			bits := make([]uint64, len(vals))
+			for i, v := range vals {
+				bits[i] = uint64(math.Float32bits(v))
+			}
+			return c, bits, st, nil
+		}},
+		{"pattern", 0, 0, LayoutPattern, PatternTupleBytes, func(b *matrix.CSR, opt Options) (*matrix.CSR, []uint64, *Stats, error) {
+			c, st, err := MultiplyPattern(acsc, b, opt)
+			return c, nil, st, err
+		}},
+		{"ring32", 0, 0, LayoutRing, 12, ring},
+		{"ring64", 21, 0, LayoutRing, 16, ring},
+	} {
+		b, mask := b0, mask0
+		if tc.spread > 0 {
+			b, mask = spreadCols(b0, tc.spread), spreadCols(mask0, tc.spread)
+		}
+		for _, budget := range []int64{0, 1 << 13} {
+			opt := Options{ForceLayout: tc.force, MemoryBudgetBytes: budget, Threads: 2}
+			full, fullBits, st, err := tc.run(b, opt)
+			if err != nil {
+				t.Fatalf("%s budget %d: %v", tc.name, budget, err)
+			}
+			if st.Layout != tc.want || st.TupleBytes != tc.tupleBytes {
+				t.Fatalf("%s: ran %v at %d B/tuple, want %v at %d", tc.name, st.Layout, st.TupleBytes, tc.want, tc.tupleBytes)
+			}
+			if budget > 0 && st.NPanels < 2 {
+				t.Fatalf("%s: budget %d did not tile the product", tc.name, budget)
+			}
+			for _, complement := range []bool{false, true} {
+				want, wantBits := maskBits(full, fullBits, mask, complement)
+				opt.Mask, opt.Complement = mask, complement
+				got, gotBits, _, err := tc.run(b, opt)
+				if err != nil {
+					t.Fatalf("%s budget %d complement=%v: %v", tc.name, budget, complement, err)
+				}
+				if !csrSameStructure(want, got) || !slices.Equal(wantBits, gotBits) {
+					t.Fatalf("%s budget %d complement=%v: masked product differs from the product ∘ mask",
+						tc.name, budget, complement)
+				}
+			}
+		}
+	}
 }

@@ -28,14 +28,12 @@ type ring[K radix.Key, T any] struct {
 // ringPool pools one value type's ring layouts, one per key width; a run
 // grows only the width planBins picks.
 type ringPool[T any] struct {
-	r32  ring[uint32, T]
-	r64  ring[uint64, T]
-	wide bool // key width of the current run
+	r32 ring[uint32, T]
+	r64 ring[uint64, T]
 }
 
-// pick binds the key width planBins chose (bindLayout).
+// pick returns the layout of the key width planBins chose (bindLayout).
 func (p *ringPool[T]) pick(wide bool) layoutOps {
-	p.wide = wide
 	if wide {
 		return &p.r64
 	}
@@ -81,7 +79,7 @@ func MultiplyRing[T any](a *matrix.CSC, aVal []T, b *matrix.CSR, bVal []T, plus,
 	e.ring, e.ringValBytes = p, int64(unsafe.Sizeof(v))
 	c, st, err := e.runContained()
 	vals := p.r32.out
-	if p.wide {
+	if e.wideKeys {
 		vals = p.r64.out
 	}
 	p.bind(e.ws, nil, nil, nil, nil)

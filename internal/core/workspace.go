@@ -4,6 +4,7 @@ import (
 	"pbspgemm/internal/matrix"
 	"pbspgemm/internal/numa"
 	"pbspgemm/internal/par"
+	"pbspgemm/internal/radix"
 )
 
 // Workspace pools every buffer the PB-SpGEMM engine needs across calls.
@@ -82,6 +83,7 @@ type Workspace struct {
 	outRowPtr []int64
 	outColIdx []int32
 	outVal    []float64
+	outTrue   []bool // Trues
 
 	// Pooled CSC conversion of A for the public API's CSR-in interface.
 	csc matrix.CSC
@@ -124,6 +126,21 @@ func (ws *Workspace) TupleCapBytes() int64 {
 		}
 	}
 	return keys + vals
+}
+
+// Trues returns n true values — the value plane of a Boolean product on the
+// pattern layout, which folds none — in pooled result storage invalidated
+// by the next call, or freshly allocated when ws is nil.
+func (ws *Workspace) Trues(n int64) []bool {
+	buf := new([]bool)
+	if ws != nil {
+		buf = &ws.outTrue
+	}
+	t := radix.Grow(buf, n)
+	for i := range t {
+		t[i] = true
+	}
+	return t
 }
 
 // CSCOf converts a into the workspace's pooled CSC storage. The result

@@ -43,15 +43,6 @@ type Capabilities struct {
 	// tuple traffic with the fused roofline bound (one fewer per-tuple term
 	// in the denominator; roofline.AIOuterFusedExact).
 	FusedCompress bool
-	// NarrowTuples kernels offer the 8-byte narrow layout (uint32 key +
-	// 4-byte value) for float32/int32 workloads through the typed entry
-	// points (core.MultiplyNarrow, semiring.Arithmetic32/ArithmeticInt32),
-	// subject to the same 32-bit key-geometry rule as SqueezedTuples.
-	NarrowTuples bool
-	// PatternTuples kernels offer the 4-byte pattern (key-only) layout for
-	// structural products — the Boolean semiring and any multiply whose
-	// values are never read (core.MultiplyPattern).
-	PatternTuples bool
 }
 
 // Opts is the per-call tuning a kernel receives. Kernels ignore fields

@@ -51,8 +51,7 @@ func (pbKernel) Name() string { return NamePB }
 
 func (pbKernel) Capabilities() Capabilities {
 	return Capabilities{Masked: true, Budgeted: true, Cancellable: true,
-		WorkspaceReusing: true, SqueezedTuples: true, FusedCompress: true,
-		NarrowTuples: true, PatternTuples: true}
+		WorkspaceReusing: true, SqueezedTuples: true, FusedCompress: true}
 }
 
 func (pbKernel) Multiply(ctx context.Context, ws *Workspace, a, b *matrix.CSR, opt Opts) (r *Result, err error) {

@@ -217,7 +217,10 @@ func fuzzReal(v byte) float64 {
 // oracle: the same (+, ×) or (∨, ∧) funcs behind a kindGeneric tag, run on
 // the same geometry. Values are real (signed, inexact, with −0.0) and the
 // comparison is bit for bit — structure for Boolean, value bits for float32
-// and float64 — single-shot, budgeted, multi-threaded and pooled.
+// and float64 — single-shot, budgeted, multi-threaded and pooled. Each
+// layout, typed and ring, also runs under a mask decoded from the input,
+// plain and complemented, and must equal its own unmasked product filtered
+// by the mask.
 func FuzzFastPathVsGeneric(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4})
 	f.Add([]byte{24, 24, 24, 9, 9, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -256,6 +259,7 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 		fb := FromCSR(b, func(v float64) float32 { return float32(v) })
 		da := FromCSR(a, func(v float64) float64 { return v }).ToCSC()
 		db := FromCSR(b, func(v float64) float64 { return v })
+		mask := fuzzMask(rows, cols, data)
 
 		for _, opt := range []core.Options{
 			{},
@@ -291,8 +295,90 @@ func FuzzFastPathVsGeneric(f *testing.F) {
 			check("float64", core.LayoutSqueezed, func() (bool, Plan, Plan, error) {
 				return compareG(Arithmetic(), da, db, opt, ringOpt, f64bits)
 			})
+			for _, m := range []struct {
+				name   string
+				masked func() (bool, error)
+			}{
+				{"boolean", func() (bool, error) { return maskedMatches(Boolean(), ba, bb, opt, mask, boolBits) }},
+				{"ring boolean", func() (bool, error) { return maskedMatches(stripKind(Boolean()), ba, bb, opt, mask, boolBits) }},
+				{"float32", func() (bool, error) { return maskedMatches(Arithmetic32(), fa, fb, opt, mask, f32bits) }},
+				{"ring float32", func() (bool, error) { return maskedMatches(stripKind(Arithmetic32()), fa, fb, opt, mask, f32bits) }},
+				{"float64", func() (bool, error) { return maskedMatches(Arithmetic(), da, db, opt, mask, f64bits) }},
+				{"ring float64", func() (bool, error) { return maskedMatches(stripKind(Arithmetic()), da, db, opt, mask, f64bits) }},
+			} {
+				ok, err := m.masked()
+				if err != nil {
+					t.Fatalf("masked %s (opt %+v): %v", m.name, opt, err)
+				}
+				if !ok {
+					t.Fatalf("masked %s differs from its product ∘ mask (opt %+v)", m.name, opt)
+				}
+			}
 		}
 	})
+}
+
+// fuzzMask decodes a rows×cols mask storing about a third of the
+// positions, chosen by a hash of the position and the input.
+func fuzzMask(rows, cols int32, data []byte) *matrix.CSR {
+	m := &matrix.CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int64, rows+1)}
+	salt := uint32(len(data)) ^ uint32(data[len(data)-1])<<8
+	for i := range rows {
+		for j := range cols {
+			if (uint32(i)*2654435761^uint32(j)*40503^salt)%3 == 0 {
+				m.ColIdx = append(m.ColIdx, j)
+			}
+		}
+		m.RowPtr[i+1] = int64(len(m.ColIdx))
+	}
+	return m
+}
+
+// maskG filters a product by mask (Complement flips it): the reference the
+// engine's per-bin mask is held to.
+func maskG[T any](c *CSRg[T], mask *matrix.CSR, complement bool) *CSRg[T] {
+	out := &CSRg[T]{NumRows: c.NumRows, NumCols: c.NumCols, RowPtr: make([]int64, c.NumRows+1),
+		ColIdx: []int32{}, Val: []T{}}
+	for i := range c.NumRows {
+		mp, mEnd := mask.RowPtr[i], mask.RowPtr[i+1]
+		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
+			col := c.ColIdx[p]
+			for mp < mEnd && mask.ColIdx[mp] < col {
+				mp++
+			}
+			if (mp < mEnd && mask.ColIdx[mp] == col) != complement {
+				out.ColIdx = append(out.ColIdx, col)
+				out.Val = append(out.Val, c.Val[p])
+			}
+		}
+		out.RowPtr[i+1] = int64(len(out.ColIdx))
+	}
+	return out
+}
+
+// maskedMatches runs sr on opt unmasked and under mask, plain and
+// complemented, and reports whether each masked product equals the
+// unmasked one filtered by the mask, bit for bit. Both references are
+// copied out before the masked runs reuse a pooled workspace.
+func maskedMatches[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt core.Options, mask *matrix.CSR,
+	bits func(T) uint64) (bool, error) {
+
+	full, _, err := MultiplyOpts(sr, a, b, opt)
+	if err != nil {
+		return false, err
+	}
+	want := []*CSRg[T]{maskG(full, mask, false), maskG(full, mask, true)}
+	for i, complement := range []bool{false, true} {
+		opt.Mask, opt.Complement = mask, complement
+		got, _, err := MultiplyOpts(sr, a, b, opt)
+		if err != nil {
+			return false, err
+		}
+		if !sameBitsG(want[i], got, bits) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // compareG runs sr on its typed layout and on the ring layout, each on its

@@ -24,17 +24,12 @@ type Plan struct {
 	Reason   string      // why the ring layout ran, when !FastPath
 }
 
-// Multiply computes C = A ⊗ B over the semiring sr with the PB-SpGEMM
-// structure: outer-product expansion into row-range bins, per-bin stable
-// radix sort on packed keys, and a fold of duplicates with sr.Plus.
-func Multiply[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], threads int) (*CSRg[T], error) {
-	c, _, err := MultiplyOpts(sr, a, b, core.Options{Threads: threads})
-	return c, err
-}
-
-// MultiplyOpts is Multiply with the engine's options — threads, memory
-// budget, pooled workspace, structural mask and cancellation; see
-// core.Options — reporting the layout it ran. With opt.Workspace set the
+// MultiplyOpts computes C = A ⊗ B over the semiring sr with the PB-SpGEMM
+// structure — outer-product expansion into row-range bins, per-bin stable
+// radix sort on packed keys, and a fold of duplicates with sr.Plus — under
+// the engine's options (threads, memory budget, pooled workspace,
+// structural mask and cancellation; see core.Options), reporting the
+// layout it ran. With opt.Workspace set the
 // result aliases workspace memory and is invalidated by the next call using
 // it. Panics — the semiring's Plus/Times callbacks run arbitrary user code
 // — are returned as a *par.PanicError rather than unwinding into the
@@ -92,7 +87,11 @@ func typed[T any](sr Semiring[T], a *CSCg[T], b *CSRg[T], opt core.Options) (c *
 			if slices.Contains(ab.Val, false) || slices.Contains(bb.Val, false) {
 				return nil, 0, "stored false values: pattern layout is structural", nil
 			}
-			res, st, err = pattern(ab, bb, opt)
+			var m *matrix.CSR
+			m, st, err = core.MultiplyPattern(cscHeader(ab, nil), csrHeader(bb, nil), opt)
+			if err == nil {
+				res = withVals(m, opt.Workspace.Trues(m.RowPtr[m.NumRows]))
+			}
 		}
 	}
 	switch {
@@ -120,15 +119,6 @@ func narrow[V core.Value32](a *CSCg[V], b *CSRg[V], opt core.Options) (*CSRg[V],
 		return nil, nil, err
 	}
 	return withVals(m, vals), st, nil
-}
-
-// pattern runs the 4-byte key-only layout; every stored value is true.
-func pattern(a *CSCg[bool], b *CSRg[bool], opt core.Options) (*CSRg[bool], *core.Stats, error) {
-	m, st, err := core.MultiplyPattern(cscHeader(a, nil), csrHeader(b, nil), opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return withVals(m, slices.Repeat([]bool{true}, int(m.RowPtr[m.NumRows]))), st, nil
 }
 
 // cscHeader wraps a generic column matrix's index arrays as a float64 CSC

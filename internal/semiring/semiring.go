@@ -12,7 +12,8 @@ package semiring
 // commutative with identity Zero; Times must distribute over Plus. The
 // compress phase folds duplicates with Plus; entries equal to Zero after
 // folding are kept (structural zeros are dropped only by Prune-style
-// post-passes), matching GraphBLAS semantics.
+// post-passes), matching GraphBLAS semantics. Plus and Times are called
+// concurrently by the engine's workers and must be safe for concurrent use.
 type Semiring[T any] struct {
 	Name  string
 	Zero  T

@@ -61,8 +61,11 @@ func sameBits(a, b *CSR) bool {
 // squeezed tuple layout under the fused pipeline — on ER and skewed R-MAT
 // inputs, integer- and real-valued: C⟨M⟩ must equal the fused squeezed
 // product filtered by the mask bit for bit, for the plain and the
-// complement mask, single-shot, budgeted (against the unmasked product
-// under the same budget) and through Engine.Multiply(WithMask).
+// complement mask, single-shot, budgeted and through
+// Engine.Multiply(WithMask). A budgeted masked product must equal the
+// unmasked product under the same budget filtered by the mask; on the
+// integer-valued fixtures, whose sums are exact in any grouping, it must
+// also equal the single-shot product filtered by the mask.
 func TestMultiplyMaskedAgainstSqueezedFusedPipeline(t *testing.T) {
 	eng, err := NewEngine(WithBeta(50))
 	if err != nil {
@@ -72,13 +75,14 @@ func TestMultiplyMaskedAgainstSqueezedFusedPipeline(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		a, b, mask *CSR
+		exact      bool // integer values: every grouping of a sum is exact
 	}{
-		{"ER", intValued(NewER(512, 6, 41)), intValued(NewER(512, 6, 42)), NewER(512, 9, 43)},
-		{"RMAT", intValued(NewRMAT(9, 8, 44)), intValued(NewRMAT(9, 8, 45)), NewRMAT(9, 6, 46)},
-		{"ER9-real", realValued(NewER(512, 6, 51), 1), realValued(NewER(512, 6, 52), 2), NewER(512, 9, 53)},
-		{"ER10-real", realValued(NewER(1024, 8, 54), 3), realValued(NewER(1024, 8, 55), 4), NewER(1024, 12, 56)},
-		{"RMAT9-real", realValued(NewRMAT(9, 8, 44), 5), realValued(NewRMAT(9, 8, 45), 6), NewRMAT(9, 6, 46)},
-		{"RMAT10-real", realValued(NewRMAT(10, 16, 57), 7), realValued(NewRMAT(10, 16, 58), 8), NewRMAT(10, 12, 59)},
+		{"ER", intValued(NewER(512, 6, 41)), intValued(NewER(512, 6, 42)), NewER(512, 9, 43), true},
+		{"RMAT", intValued(NewRMAT(9, 8, 44)), intValued(NewRMAT(9, 8, 45)), NewRMAT(9, 6, 46), true},
+		{"ER9-real", realValued(NewER(512, 6, 51), 1), realValued(NewER(512, 6, 52), 2), NewER(512, 9, 53), false},
+		{"ER10-real", realValued(NewER(1024, 8, 54), 3), realValued(NewER(1024, 8, 55), 4), NewER(1024, 12, 56), false},
+		{"RMAT9-real", realValued(NewRMAT(9, 8, 44), 5), realValued(NewRMAT(9, 8, 45), 6), NewRMAT(9, 6, 46), false},
+		{"RMAT10-real", realValued(NewRMAT(10, 16, 57), 7), realValued(NewRMAT(10, 16, 58), 8), NewRMAT(10, 12, 59), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The unmasked product through the default PB path must have run
@@ -101,6 +105,9 @@ func TestMultiplyMaskedAgainstSqueezedFusedPipeline(t *testing.T) {
 				t.Fatalf("budget %d did not tile the product: %d panel(s)", budget, bres.PB.NPanels)
 			}
 			fullBudgeted := bres.C
+			if tc.exact && !sameBits(full, fullBudgeted) {
+				t.Fatal("budgeted unmasked product differs from the single-shot product")
+			}
 
 			for _, complement := range []bool{false, true} {
 				want := maskCSR(full, tc.mask, complement)
@@ -127,6 +134,9 @@ func TestMultiplyMaskedAgainstSqueezedFusedPipeline(t *testing.T) {
 				}
 				if !sameBits(maskCSR(fullBudgeted, tc.mask, complement), budgeted) {
 					t.Fatalf("complement=%v: budgeted masked product differs", complement)
+				}
+				if tc.exact && !sameBits(want, budgeted) {
+					t.Fatalf("complement=%v: budgeted masked product differs from the single-shot product ∘ mask", complement)
 				}
 				// And the Engine entry point with the mask as an option.
 				mres, err := eng.Multiply(ctx, tc.a, tc.b, opts...)

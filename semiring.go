@@ -11,7 +11,8 @@ import (
 // with identity Zero; Times must distribute over Plus. The compress phase
 // folds duplicate (row, col) tuples with Plus; entries equal to Zero after
 // folding are kept, matching GraphBLAS semantics (structural zeros are
-// dropped only by explicit pruning).
+// dropped only by explicit pruning). Plus and Times are called concurrently
+// from the engine's workers and must be safe for concurrent use.
 type Semiring[T any] = semiring.Semiring[T]
 
 // Matrix is a generic sparse matrix in CSR layout — the row-major view every
@@ -86,8 +87,8 @@ func Float64CSR(g *Matrix[float64]) *CSR {
 // calls sharing A. Honors WithThreads, WithMemoryBudget, WithNBins,
 // WithLocalBinBytes, WithL2CacheBytes, WithMask / WithComplementMask,
 // WithSemiringPlan and WithContext; WithAlgorithm is ignored (the semiring
-// path is always PB). For repeated calls, EngineMultiplyOver additionally
-// reuses pooled workspaces.
+// path is always PB); sr.Plus and sr.Times run concurrently (see Semiring).
+// For repeated calls, EngineMultiplyOver also reuses pooled workspaces.
 func MultiplyOver[T any](sr Semiring[T], a *ColMatrix[T], b *Matrix[T], opts ...Option) (*Matrix[T], error) {
 	cfg, err := resolve(nil, opts)
 	if err != nil {
